@@ -1,30 +1,59 @@
-//! Shard- and scheduler-invariance: the engine refactor's contract.
+//! Virtual-time history pinned to checked-in goldens.
 //!
-//! The sharded timer-wheel engine must be *observationally invisible*:
-//! for any scenario, every `(scheduler, shard count)` combination —
-//! heap or hierarchical wheel, 1 shard or many — must produce the same
-//! virtual-time history byte for byte. These tests pin that contract on
-//! both kinds of scenario the repo cares about: the paper-style small
-//! controller networks (where the control-plane trace digest is the
-//! oracle) and generated datacenter fabrics under seeded traffic
-//! matrices (where the data-plane record is).
+//! The simulator's output is a pure function of its inputs: the event
+//! queue orders events by `(time, seq)`, whatever structure holds them.
+//! These tests pin that history for both kinds of scenario the repo
+//! cares about: the paper-style small controller networks (where the
+//! control-plane trace digest is the oracle) and generated datacenter
+//! fabrics under seeded traffic matrices (where the data-plane record
+//! is). Each scenario's [`fingerprint`] is hashed (FNV-1a, 64-bit) and
+//! compared with its line in `tests/golden/scale_determinism.txt`.
+//! Regenerate intentionally with
+//! `UPDATE_GOLDEN=1 cargo test -p attain-netsim --test scale_determinism`.
 
 use attain_controllers::ControllerKind;
 use attain_netsim::topo::{fat_tree, install_fat_tree_routes, FatTreeParams};
 use attain_netsim::workload::{FlowKind, TrafficMatrix, TrafficPattern};
-use attain_netsim::{
-    FaultPlan, HostCommand, NetworkBuilder, PassThrough, SchedulerConfig, SimTime, Simulation,
-};
+use attain_netsim::{FaultPlan, HostCommand, NetworkBuilder, PassThrough, SimTime, Simulation};
+use std::sync::Mutex;
 
-/// Scheduler/shard combinations every scenario is replayed under.
-fn configs() -> Vec<SchedulerConfig> {
-    vec![
-        SchedulerConfig::heap(1),
-        SchedulerConfig::heap(4),
-        SchedulerConfig::wheel(1),
-        SchedulerConfig::wheel(4),
-        SchedulerConfig::wheel(64),
-    ]
+const GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/scale_determinism.txt"
+);
+
+/// Serialises `UPDATE_GOLDEN` rewrites across the tests of this binary.
+static GOLDEN_LOCK: Mutex<()> = Mutex::new(());
+
+/// FNV-1a, 64-bit, over the rendered fingerprint.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Checks `name`'s fingerprint digest against its golden line, or
+/// rewrites that line under `UPDATE_GOLDEN`.
+fn check_golden(name: &str, fingerprint: &str) {
+    let line = format!("{name} {:016x}", fnv1a(fingerprint));
+    let _guard = GOLDEN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let checked_in = std::fs::read_to_string(GOLDEN).unwrap_or_default();
+    let prefix = format!("{name} ");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        let mut lines: Vec<&str> = checked_in
+            .lines()
+            .filter(|l| !l.starts_with(&prefix))
+            .collect();
+        lines.push(&line);
+        lines.sort_unstable();
+        std::fs::write(GOLDEN, lines.join("\n") + "\n").unwrap();
+        return;
+    }
+    let golden = checked_in
+        .lines()
+        .find(|l| l.starts_with(&prefix))
+        .unwrap_or_else(|| panic!("{GOLDEN} has no line for {name}"));
+    assert_eq!(line, golden, "{name} diverged; fingerprint:\n{fingerprint}");
 }
 
 /// Everything externally observable about a finished run, rendered.
@@ -60,9 +89,8 @@ fn fingerprint(sim: &Simulation) -> String {
 /// The paper-style 10-node line/star scenario: four switches, four
 /// hosts, one controller, ping + iperf crossing the fabric while a
 /// fault plan flaps a core link — the existing campaign shape.
-fn paper_scenario(config: SchedulerConfig, interpose: bool, fault: bool) -> Simulation {
+fn paper_scenario(interpose: bool, fault: bool) -> Simulation {
     let mut b = NetworkBuilder::new();
-    b.scheduler(config);
     let h1 = b.host("h1", "10.0.0.1");
     let h2 = b.host("h2", "10.0.0.2");
     let h3 = b.host("h3", "10.0.0.3");
@@ -112,9 +140,8 @@ fn paper_scenario(config: SchedulerConfig, interpose: bool, fault: bool) -> Simu
 
 /// A generated fat-tree under a seeded traffic matrix, optionally with
 /// an interposer-less fault plan (no controller, so no interposer).
-fn fabric_scenario(k: usize, config: SchedulerConfig, fault: bool, seed: u64) -> Simulation {
+fn fabric_scenario(k: usize, fault: bool, seed: u64) -> Simulation {
     let mut b = NetworkBuilder::new();
-    b.scheduler(config);
     let t = fat_tree(&mut b, &FatTreeParams::new(k)).unwrap();
     let mut sim = b.build();
     install_fat_tree_routes(&mut sim, &t);
@@ -138,73 +165,44 @@ fn fabric_scenario(k: usize, config: SchedulerConfig, fault: bool, seed: u64) ->
 }
 
 #[test]
-fn paper_scenario_is_invariant_across_schedulers_and_shards() {
+fn paper_scenario_matches_golden() {
     for interpose in [false, true] {
         for fault in [false, true] {
-            let reference =
-                fingerprint(&paper_scenario(SchedulerConfig::heap(1), interpose, fault));
-            for config in configs() {
-                let got = fingerprint(&paper_scenario(config, interpose, fault));
-                assert_eq!(
-                    got, reference,
-                    "divergence under {config:?} (interpose={interpose}, fault={fault})"
-                );
-            }
+            let name = format!("paper/interpose={interpose}/fault={fault}");
+            check_golden(&name, &fingerprint(&paper_scenario(interpose, fault)));
         }
     }
 }
 
 #[test]
-fn fat_tree_k4_traffic_matrix_is_invariant_across_schedulers_and_shards() {
+fn fat_tree_k4_traffic_matrix_matches_golden() {
     for fault in [false, true] {
-        let reference = fingerprint(&fabric_scenario(4, SchedulerConfig::heap(1), fault, 42));
-        assert!(reference.contains("ping"), "scenario produced no flows");
-        for config in configs() {
-            let got = fingerprint(&fabric_scenario(4, config, fault, 42));
-            assert_eq!(
-                got, reference,
-                "divergence under {config:?} (fault={fault})"
-            );
-        }
+        let fp = fingerprint(&fabric_scenario(4, fault, 42));
+        assert!(fp.contains("ping"), "scenario produced no flows");
+        check_golden(&format!("fat_tree_k4/fault={fault}"), &fp);
     }
 }
 
 #[test]
-fn fat_tree_k8_traffic_matrix_is_invariant_across_shard_counts() {
-    // k=8: 80 switches, 128 hosts — one fabric size up, heap vs. wheel
-    // and 1 vs. 64 shards, two independent runs each (same-seed
-    // repeatability and cross-backend equality in one pin).
-    let reference = fingerprint(&fabric_scenario(8, SchedulerConfig::heap(1), false, 9));
-    for config in [
-        SchedulerConfig::heap(1),
-        SchedulerConfig::wheel(1),
-        SchedulerConfig::wheel(64),
-    ] {
-        let got = fingerprint(&fabric_scenario(8, config, false, 9));
-        assert_eq!(got, reference, "divergence under {config:?}");
-    }
+fn fat_tree_k8_traffic_matrix_matches_golden() {
+    // k=8: 80 switches, 128 hosts — one fabric size up.
+    check_golden("fat_tree_k8", &fingerprint(&fabric_scenario(8, false, 9)));
 }
 
 #[test]
-fn iperf_workload_is_invariant_across_schedulers() {
-    let run = |config: SchedulerConfig| {
-        let mut b = NetworkBuilder::new();
-        b.scheduler(config);
-        let t = fat_tree(&mut b, &FatTreeParams::new(4)).unwrap();
-        let mut sim = b.build();
-        install_fat_tree_routes(&mut sim, &t);
-        TrafficMatrix::new(12, 5)
-            .with_pattern(TrafficPattern::Permutation)
-            .with_kind(FlowKind::Iperf {
-                duration: SimTime::from_secs(1),
-            })
-            .apply(&mut sim, &t);
-        sim.run_until(SimTime::from_secs(10));
-        fingerprint(&sim)
-    };
-    let reference = run(SchedulerConfig::heap(1));
-    assert!(reference.contains("iperf"), "scenario produced no flows");
-    for config in configs() {
-        assert_eq!(run(config), reference, "divergence under {config:?}");
-    }
+fn iperf_workload_matches_golden() {
+    let mut b = NetworkBuilder::new();
+    let t = fat_tree(&mut b, &FatTreeParams::new(4)).unwrap();
+    let mut sim = b.build();
+    install_fat_tree_routes(&mut sim, &t);
+    TrafficMatrix::new(12, 5)
+        .with_pattern(TrafficPattern::Permutation)
+        .with_kind(FlowKind::Iperf {
+            duration: SimTime::from_secs(1),
+        })
+        .apply(&mut sim, &t);
+    sim.run_until(SimTime::from_secs(10));
+    let fp = fingerprint(&sim);
+    assert!(fp.contains("iperf"), "scenario produced no flows");
+    check_golden("iperf_k4", &fp);
 }
