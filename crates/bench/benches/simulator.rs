@@ -4,7 +4,7 @@
 
 use attain_controllers::ControllerKind;
 use attain_injector::harness::build_case_study;
-use attain_netsim::{FailMode, HostCommand, SimTime};
+use attain_netsim::{FailMode, HostCommand, SimTime, TraceMode};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench_simulator(c: &mut Criterion) {
@@ -14,7 +14,7 @@ fn bench_simulator(c: &mut Criterion) {
         b.iter(|| {
             let mut sim = build_case_study(ControllerKind::Floodlight, FailMode::Secure);
             let h1 = sim.node_id("h1").expect("case study has h1");
-            sim.set_trace_events(false);
+            sim.set_trace_mode(TraceMode::Counters);
             sim.schedule_command(
                 SimTime::from_secs(5),
                 HostCommand::Ping {
@@ -34,7 +34,7 @@ fn bench_simulator(c: &mut Criterion) {
             let mut sim = build_case_study(ControllerKind::Floodlight, FailMode::Secure);
             let h1 = sim.node_id("h1").expect("case study has h1");
             let h6 = sim.node_id("h6").expect("case study has h6");
-            sim.set_trace_events(false);
+            sim.set_trace_mode(TraceMode::Counters);
             sim.schedule_command(
                 SimTime::from_secs(5),
                 HostCommand::IperfServer {

@@ -1,9 +1,8 @@
 //! The campaign's attack inventory: every shipped `attacks/*.atk`.
 //!
-//! Sources are embedded at compile time so the campaign binary and the
-//! conformance tests run from any working directory; a tier-1 test
-//! (`tests/atk_files.rs`) separately pins the on-disk files to the
-//! bundled sources.
+//! Sources are embedded at compile time (`scenario::attacks` includes
+//! the `.atk` files) so the campaign binary and the conformance tests
+//! run from any working directory.
 
 use attain_core::scenario;
 use attain_netsim::EvictionPolicy;
@@ -54,7 +53,7 @@ pub struct AttackDef {
     pub table: Option<TableOverride>,
 }
 
-/// Every shipped attack, in matrix order: the nine enterprise attacks
+/// Every shipped attack, in matrix order: the ten enterprise attacks
 /// in their `scenario::attacks::ALL` order, then the self-contained
 /// demo document.
 pub fn all() -> Vec<AttackDef> {

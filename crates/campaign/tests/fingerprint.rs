@@ -8,7 +8,7 @@
 //! FLOW_MOD` service-time means on the `(c1, s1)` channel separate
 //! Beacon (1.25 ms), Floodlight (1.30 ms), Ryu (1.80 ms), and POX
 //! (2.20 ms), while the hub betrays itself behaviourally (no installs,
-//! heavy flooding). See `scenario::attacks::FINGERPRINT_THEN_ATTACK`.
+//! heavy flooding). See `attacks/fingerprint_then_attack.atk`.
 
 use attain_campaign::{attacks, cell, oracle, runner, Filter, Matrix};
 use attain_controllers::ControllerKind;

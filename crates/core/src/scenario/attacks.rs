@@ -1,334 +1,40 @@
-//! The paper's attack descriptions as DSL sources, ready to compile
-//! against the [`enterprise_network`](super::enterprise_network)
-//! scenario.
+//! The paper's attack descriptions, ready to compile against the
+//! [`enterprise_network`](super::enterprise_network) scenario.
+//!
+//! Each constant embeds its `attacks/<name>.atk` file, the one source
+//! of the description; the files' comments explain each attack.
 
-/// Figure 5: the trivial "attack" that models normal control-plane
-/// operation — one end state, no rules, everything passes.
-pub const TRIVIAL_PASS: &str = r#"
-# Figure 5: single-state trivial "attack" (normal operation).
-attack trivial_pass {
-    start state sigma1 { }
-}
-"#;
+/// Figure 5: the trivial "attack" that models normal control-plane operation.
+pub const TRIVIAL_PASS: &str = include_str!("../../../../attacks/trivial_pass.atk");
 
-/// Figure 10: the flow-modification suppression attack of §VII-B. One
-/// absorbing state whose rule drops every `FLOW_MOD` the controller
-/// sends to any of the four switches.
-pub const FLOW_MOD_SUPPRESSION: &str = r#"
-# Figure 10: flow modification suppression.
-attack flow_mod_suppression {
-    start state sigma1 {
-        rule phi1 on (c1, s1), (c1, s2), (c1, s3), (c1, s4) requires no_tls {
-            when msg.type == FLOW_MOD && msg.source == c1
-            do { drop(msg); }
-        }
-    }
-}
-"#;
+/// Figure 10: drop every `FLOW_MOD` the controller sends (§VII-B).
+pub const FLOW_MOD_SUPPRESSION: &str = include_str!("../../../../attacks/flow_mod_suppression.atk");
 
-/// Figure 12: the connection interruption attack of §VII-C.
-///
-/// * `sigma1` waits for `s2`'s connection setup (its `HELLO`);
-/// * `sigma2` waits for a flow-modification request about traffic from
-///   the gateway `h2` (10.0.0.2) to an internal host — the DMZ deny
-///   rule. Ryu's L2-only matches never satisfy `φ2`'s `nw_src` read, so
-///   against Ryu the attack never leaves this state (§VII-C4);
-/// * `sigma3` drops everything on `(c1, s2)`, severing the connection.
-pub const CONNECTION_INTERRUPTION: &str = r#"
-# Figure 12: connection interruption against the DMZ firewall switch s2.
-attack connection_interruption {
-    start state sigma1 {
-        rule phi1 on (c1, s2) requires no_tls {
-            when msg.type == HELLO && msg.source == s2
-            do { pass(msg); goto sigma2; }
-        }
-    }
-    state sigma2 {
-        rule phi2 on (c1, s2) requires no_tls {
-            when msg.type == FLOW_MOD
-                 && msg["match.nw_src"] == 10.0.0.2
-                 && msg["match.nw_dst"] in [10.0.0.3, 10.0.0.4, 10.0.0.5, 10.0.0.6]
-            do { drop(msg); goto sigma3; }
-        }
-    }
-    state sigma3 {
-        rule phi3 on (c1, s2) requires no_tls {
-            when true
-            do { drop(msg); }
-        }
-    }
-}
-"#;
+/// Figure 12: sever the DMZ firewall switch `s2`'s control channel (§VII-C).
+pub const CONNECTION_INTERRUPTION: &str =
+    include_str!("../../../../attacks/connection_interruption.atk");
 
-/// Figure 6's shape: attack states as prior-message history — act only
-/// after a `PACKET_IN` and then a `FLOW_MOD` have been seen.
-pub const MESSAGE_HISTORY: &str = r#"
-# Figure 6: states modelling prior message history.
-attack message_history {
-    start state sigma1 {
-        rule saw_packet_in on all requires no_tls {
-            when msg.type == PACKET_IN
-            do { pass(msg); goto sigma2; }
-        }
-    }
-    state sigma2 {
-        rule saw_flow_mod on all requires no_tls {
-            when msg.type == FLOW_MOD
-            do { pass(msg); goto sigma3; }
-        }
-    }
-    state sigma3 {
-        rule act on all requires no_tls {
-            when msg.type == FLOW_MOD
-            do { drop(msg); }
-        }
-    }
-}
-"#;
+/// Figure 6: attack states as prior-message history.
+pub const MESSAGE_HISTORY: &str = include_str!("../../../../attacks/message_history.atk");
 
-/// §VIII-B's modeling-efficiency example: an O(1)-space counter deque
-/// replaces `n` memoryless states — here, let ten `FLOW_MOD`s through,
-/// then suppress the rest.
-pub const COUNTED_SUPPRESSION: &str = r#"
-# Section VIII-B: deque counter condenses n states into one.
-attack counted_suppression {
-    start state watch {
-        rule init on all requires no_tls {
-            when len(counter) == 0 && msg.type == FLOW_MOD
-            do { prepend(counter, 0); }
-        }
-        rule count on all requires no_tls {
-            when msg.type == FLOW_MOD && front(counter) < 10
-            do { prepend(counter, front(counter) + 1); pop(counter); pass(msg); }
-        }
-        rule trigger on all requires no_tls {
-            when front(counter) == 10
-            do { goto suppress; }
-        }
-    }
-    state suppress {
-        rule drop_mods on all requires no_tls {
-            when msg.type == FLOW_MOD
-            do { drop(msg); }
-        }
-    }
-}
-"#;
+/// §VIII-B: a deque counter lets ten `FLOW_MOD`s through, then suppresses the rest.
+pub const COUNTED_SUPPRESSION: &str = include_str!("../../../../attacks/counted_suppression.atk");
 
-/// §VIII-A's message-reordering example: hold two `PACKET_IN`s on a
-/// deque used as a stack, then release them behind a third in reverse
-/// arrival order.
-pub const REORDER_PACKET_INS: &str = r#"
-# Section VIII-A: reordering via a deque used as a stack.
-attack reorder_packet_ins {
-    start state collect {
-        # Algorithm 1 evaluates every rule of the pre-message state, so
-        # `release` guards on a monotonic `seen` counter (not on the
-        # stack length `stash` just changed) to avoid firing on the same
-        # message that filled the stack.
-        rule release on all requires no_tls {
-            when msg.type == PACKET_IN && len(seen) == 2
-            do { pass(msg); emit_front(stack); emit_front(stack); append(seen, 1); }
-        }
-        rule stash on all requires no_tls {
-            when msg.type == PACKET_IN && len(seen) < 2
-            do { append(seen, 1); prepend(stack, msg); drop(msg); }
-        }
-    }
-}
-"#;
+/// §VIII-A: reorder `PACKET_IN`s through a deque used as a stack.
+pub const REORDER_PACKET_INS: &str = include_str!("../../../../attacks/reorder_packet_ins.atk");
 
-/// §VIII-A's replay example: duplicate `FLOW_MOD`s into a queue, then
-/// replay them in FIFO order once five are stored.
-pub const REPLAY_FLOW_MODS: &str = r#"
-# Section VIII-A: replay via a deque used as a queue.
-attack replay_flow_mods {
-    start state record {
-        # `flood` is guarded on the monotonic `copies` counter so it does
-        # not fire in the same pass that stores the fifth copy.
-        rule flood on all requires no_tls {
-            when len(copies) == 5 && len(replay_q) == 5
-            do {
-                emit_front(replay_q);
-                emit_front(replay_q);
-                emit_front(replay_q);
-                emit_front(replay_q);
-                emit_front(replay_q);
-                goto done;
-            }
-        }
-        rule copy on all requires no_tls {
-            when msg.type == FLOW_MOD && len(copies) < 5
-            do { append(copies, 1); duplicate(msg); append(replay_q, msg); pass(msg); }
-        }
-    }
-    state done { }
-}
-"#;
+/// §VIII-A: replay `FLOW_MOD`s through a deque used as a queue.
+pub const REPLAY_FLOW_MODS: &str = include_str!("../../../../attacks/replay_flow_mods.atk");
 
-/// A fuzzing attack in the spirit of DELTA (§IX-A): randomly corrupt
-/// every tenth controller-to-switch message.
-pub const FUZZ_CONTROL_PLANE: &str = r#"
-# Related-work flavour: DELTA-style control plane fuzzing.
-attack fuzz_control_plane {
-    start state fuzzing {
-        rule init on all requires no_tls {
-            when len(counter) == 0
-            do { prepend(counter, 0); }
-        }
-        rule tick on all requires no_tls {
-            when msg.source == c1 && front(counter) < 9
-            do { prepend(counter, front(counter) + 1); pop(counter); }
-        }
-        rule corrupt on all requires no_tls {
-            when msg.source == c1 && front(counter) == 9
-            do { fuzz(msg, 16); prepend(counter, 0); pop(counter); }
-        }
-    }
-}
-"#;
+/// DELTA-style fuzzing (§IX-A): corrupt every tenth controller-to-switch message.
+pub const FUZZ_CONTROL_PLANE: &str = include_str!("../../../../attacks/fuzz_control_plane.atk");
 
-/// The overflow-family attack: once the controller has installed two
-/// flows on the branch switch `s4`, corrupt the `in_port` of every
-/// further `PACKET_IN` from `s4`. The controller learns each source at
-/// a phantom port and installs entries real traffic can never match,
-/// overflowing the bounded table until the victim flows are evicted
-/// (the campaign bounds `s4` at eight entries with LRU eviction for
-/// this attack).
-pub const TABLE_OVERFLOW: &str = r#"
-# Overflow family: phantom-port PACKET_IN corruption against s4.
-attack table_overflow {
-    start state watch {
-        rule init on (c1, s4) requires no_tls {
-            when len(installs) == 0 && msg.type == FLOW_MOD
-            do { prepend(installs, 0); }
-        }
-        rule count on (c1, s4) requires no_tls {
-            when msg.type == FLOW_MOD && front(installs) < 2
-            do { prepend(installs, front(installs) + 1); pop(installs); pass(msg); }
-        }
-        rule armed on (c1, s4) requires no_tls {
-            when front(installs) == 2
-            do { goto flood; }
-        }
-    }
-    state flood {
-        rule seed on (c1, s4) requires no_tls {
-            when len(phantom) == 0
-            do { prepend(phantom, 61000); }
-        }
-        rule corrupt on (c1, s4) requires no_tls {
-            when msg.type == PACKET_IN && msg.source == s4
-            do {
-                modify(msg, "in_port", front(phantom));
-                prepend(phantom, front(phantom) + 1);
-                pop(phantom);
-                pass(msg);
-            }
-        }
-    }
-}
-"#;
+/// Overflow family: phantom-port `PACKET_IN` corruption fills `s4`'s bounded table.
+pub const TABLE_OVERFLOW: &str = include_str!("../../../../attacks/table_overflow.atk");
 
-/// The timing-observable fingerprinting attack ("Fingerprinting
-/// OpenFlow controllers" flavour): watch the `(c1, s1)` control channel
-/// until the `PACKET_IN → FLOW_MOD` service-time signature identifies
-/// the controller application, then jump to that application's
-/// worst-payload state.
-///
-/// The decision thresholds come from the enterprise simulator's
-/// virtual-time latencies observed at the proxy (per-application
-/// processing delay plus the 1 ms round trip on the controller link;
-/// exact and seed-invariant because the serial controller model adds no
-/// noise on the lightly loaded `s1` channel):
-///
-/// * Beacon      250 µs → 1.25 ms
-/// * Floodlight  300 µs → 1.30 ms
-/// * Ryu         800 µs → 1.80 ms
-/// * POX        1200 µs → 2.20 ms
-/// * Hub — behavioural, not temporal: it never installs a flow on `s1`
-///   (`timing_count(PACKET_IN, FLOW_MOD)` stays 0) while its per-packet
-///   flooding piles up `PACKET_OUT`s no learning switch emits that many
-///   of before its first install.
-///
-/// Every `classify_*` guard leads with an infallible `timing_count`
-/// read so the short-circuiting `&&` never evaluates a statistic over
-/// an empty sample ring.
-pub const FINGERPRINT_THEN_ATTACK: &str = r#"
-# Timing-observable controller fingerprinting, then a per-application
-# worst payload. Thresholds are virtual-time nanoseconds observed on
-# (c1, s1); see scenario::attacks::FINGERPRINT_THEN_ATTACK docs.
-attack fingerprint_then_attack {
-    start state watch {
-        rule classify_hub on (c1, s1) requires no_tls {
-            when timing_count(PACKET_IN, FLOW_MOD) == 0
-                 && timing_count(PACKET_IN, PACKET_OUT) >= 12
-            do { goto attack_hub; }
-        }
-        rule classify_beacon on (c1, s1) requires no_tls {
-            when timing_count(PACKET_IN, FLOW_MOD) >= 3
-                 && timing_mean(PACKET_IN, FLOW_MOD, 8) < 1275000
-            do { goto attack_beacon; }
-        }
-        rule classify_floodlight on (c1, s1) requires no_tls {
-            when timing_count(PACKET_IN, FLOW_MOD) >= 3
-                 && timing_mean(PACKET_IN, FLOW_MOD, 8) >= 1275000
-                 && timing_mean(PACKET_IN, FLOW_MOD, 8) < 1500000
-            do { goto attack_floodlight; }
-        }
-        rule classify_ryu on (c1, s1) requires no_tls {
-            when timing_count(PACKET_IN, FLOW_MOD) >= 3
-                 && timing_mean(PACKET_IN, FLOW_MOD, 8) >= 1500000
-                 && timing_mean(PACKET_IN, FLOW_MOD, 8) < 2000000
-            do { goto attack_ryu; }
-        }
-        rule classify_pox on (c1, s1) requires no_tls {
-            when timing_count(PACKET_IN, FLOW_MOD) >= 3
-                 && timing_mean(PACKET_IN, FLOW_MOD, 8) >= 2000000
-            do { goto attack_pox; }
-        }
-    }
-    # Floodlight's 5 s idle timeouts force re-installs; starving them
-    # pins forwarding to the slow PACKET_OUT path.
-    state attack_floodlight {
-        rule starve_installs on all requires no_tls {
-            when msg.type == FLOW_MOD
-            do { drop(msg); }
-        }
-    }
-    # POX releases buffered packets only via the FLOW_MOD (Figure 11's
-    # asterisk): suppression deadlocks the data plane.
-    state attack_pox {
-        rule deadlock_buffers on all requires no_tls {
-            when msg.type == FLOW_MOD
-            do { drop(msg); }
-        }
-    }
-    # Beacon shares POX's buffer-release-via-FLOW_MOD trait.
-    state attack_beacon {
-        rule deadlock_buffers on all requires no_tls {
-            when msg.type == FLOW_MOD
-            do { drop(msg); }
-        }
-    }
-    # Ryu's permanent flows make suppression toothless; sever its s1
-    # control channel instead (fail-secure s1 locks down).
-    state attack_ryu {
-        rule sever_s1 on (c1, s1) requires no_tls {
-            when true
-            do { drop(msg); }
-        }
-    }
-    # The hub forwards solely via PACKET_OUT: black-holing them stops
-    # every flow that misses into the controller.
-    state attack_hub {
-        rule blackhole_floods on all requires no_tls {
-            when msg.type == PACKET_OUT
-            do { drop(msg); }
-        }
-    }
-}
-"#;
+/// Timing-observable controller fingerprinting, then a per-application worst payload.
+pub const FINGERPRINT_THEN_ATTACK: &str =
+    include_str!("../../../../attacks/fingerprint_then_attack.atk");
 
 /// All bundled attacks with their names, for iteration in tests and
 /// examples.

@@ -10,7 +10,7 @@
 
 use crate::budget::RunBudget;
 use crate::controller_host::ControllerHost;
-use crate::engine::{NodeId, SchedulerConfig};
+use crate::engine::NodeId;
 use crate::fault::{FaultPlan, FaultSpec};
 use crate::host::Host;
 use crate::link::{Link, LinkEnd};
@@ -171,7 +171,6 @@ pub struct NetworkBuilder {
     controls: Vec<(ControllerRef, NodeId, SimTime)>,
     faults: FaultPlan,
     budget: RunBudget,
-    scheduler: SchedulerConfig,
     /// Errors from misused builder calls, reported by `try_build`.
     deferred: Vec<BuildError>,
 }
@@ -249,13 +248,6 @@ impl NetworkBuilder {
                 });
             }
         }
-    }
-
-    /// Selects the event-scheduler backend and shard count (default:
-    /// timer wheel, one shard). Any choice produces byte-identical
-    /// traces; see [`SchedulerConfig`].
-    pub fn scheduler(&mut self, config: SchedulerConfig) {
-        self.scheduler = config;
     }
 
     /// Connects two nodes with a default link, returning the assigned
@@ -484,7 +476,6 @@ impl NetworkBuilder {
             controllers,
             connections,
             names,
-            self.scheduler,
             capacity_hint,
         );
         sim.apply_fault_plan(&self.faults);

@@ -81,7 +81,7 @@ pub use budget::{CancelToken, HaltReason, RunBudget};
 pub use builder::{BuildError, ControllerRef, LinkParams, NetworkBuilder};
 pub use command::{HostCommand, ParseCommandError};
 pub use controller_host::ControllerHost;
-pub use engine::{ConnId, NodeId, SchedulerConfig, SchedulerKind, TimerToken};
+pub use engine::{ConnId, NodeId, SchedulerConfig, TimerToken};
 pub use fault::{
     ControllerFaultStats, DetRng, FaultKind, FaultPlan, FaultReport, FaultSpec, FaultTarget,
     LinkStats, ParseFaultError, SwitchFaultStats,

@@ -95,7 +95,6 @@ impl std::fmt::Debug for Simulation {
 }
 
 impl Simulation {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
         nodes: Vec<Node>,
         links: Vec<Link>,
@@ -103,12 +102,11 @@ impl Simulation {
         controllers: Vec<ControllerHost>,
         connections: Vec<Connection>,
         names: HashMap<String, NodeId>,
-        scheduler: SchedulerConfig,
         capacity_hint: usize,
     ) -> Simulation {
         let mut sim = Simulation {
             now: SimTime::ZERO,
-            queue: EventQueue::with_config(scheduler, capacity_hint),
+            queue: EventQueue::with_config(SchedulerConfig, capacity_hint),
             nodes,
             links,
             port_map,
@@ -171,13 +169,13 @@ impl Simulation {
 
     /// Schedules a workload command at absolute time `at`.
     pub fn schedule_command(&mut self, at: SimTime, cmd: HostCommand) {
-        self.queue.schedule(at, EventKind::Command(cmd));
+        self.queue.schedule(at, EventKind::Command(Box::new(cmd)));
     }
 
     /// Schedules an environment fault at absolute time `at`.
     pub fn schedule_fault(&mut self, at: SimTime, spec: FaultSpec) {
         self.queue
-            .schedule(at, EventKind::Command(HostCommand::Fault(spec)));
+            .schedule(at, EventKind::Command(Box::new(HostCommand::Fault(spec))));
     }
 
     /// Bounds the named switch's flow table at `capacity` entries under
@@ -489,16 +487,6 @@ impl Simulation {
         &self.trace
     }
 
-    /// Disables per-event trace recording (counters stay on), for long
-    /// benchmark runs.
-    pub fn set_trace_events(&mut self, on: bool) {
-        self.trace.set_mode(if on {
-            TraceMode::Full
-        } else {
-            TraceMode::Counters
-        });
-    }
-
     /// Sets the trace mode (see [`TraceMode`]).
     pub fn set_trace_mode(&mut self, mode: TraceMode) {
         self.trace.set_mode(mode);
@@ -646,7 +634,7 @@ impl Simulation {
                     },
                 );
             }
-            EventKind::Command(cmd) => self.apply_command(cmd),
+            EventKind::Command(cmd) => self.apply_command(*cmd),
             EventKind::InterposerWake => {
                 if let Some(mut ip) = self.interposer.take() {
                     let actions = ip.on_wakeup(self.now);

@@ -188,17 +188,14 @@ pub struct Trace {
     /// iteration (reports, digests) is deterministically ordered without
     /// a sort at each call site.
     counts: BTreeMap<(ConnId, Direction, Option<OfType>), u64>,
-    /// When `false`, only counters are kept (for long benchmark runs).
-    pub record_events: bool,
+    /// Whether per-event records are kept alongside the counters.
+    mode: TraceMode,
 }
 
 impl Trace {
     /// Creates an empty trace that records full events.
     pub fn new() -> Trace {
-        Trace {
-            record_events: true,
-            ..Trace::default()
-        }
+        Trace::default()
     }
 
     /// Appends a record (and updates counters for control messages).
@@ -215,7 +212,7 @@ impl Trace {
                 .entry((*conn, *direction, *of_type))
                 .or_insert(0) += 1;
         }
-        if self.record_events {
+        if self.mode == TraceMode::Full {
             self.events.push(TraceEvent { time, kind });
         }
     }
@@ -228,16 +225,12 @@ impl Trace {
     /// Sets the retention mode. Switching to [`TraceMode::Counters`]
     /// stops recording from now on; already-recorded events are kept.
     pub fn set_mode(&mut self, mode: TraceMode) {
-        self.record_events = mode == TraceMode::Full;
+        self.mode = mode;
     }
 
     /// The current retention mode.
     pub fn mode(&self) -> TraceMode {
-        if self.record_events {
-            TraceMode::Full
-        } else {
-            TraceMode::Counters
-        }
+        self.mode
     }
 
     /// Total control-plane messages observed (both directions, all
@@ -358,7 +351,7 @@ mod tests {
     #[test]
     fn disabling_event_recording_keeps_counters() {
         let mut t = Trace::new();
-        t.record_events = false;
+        t.set_mode(TraceMode::Counters);
         t.push(
             SimTime::ZERO,
             TraceKind::ControlMessage {
@@ -407,7 +400,7 @@ mod tests {
     #[test]
     fn counterless_digest_still_covers_counters() {
         let mut t = Trace::new();
-        t.record_events = false;
+        t.set_mode(TraceMode::Counters);
         let empty = t.digest();
         t.push(
             SimTime::ZERO,

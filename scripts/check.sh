@@ -39,7 +39,7 @@ cargo run --release --bin campaign --features attain-campaign/dispatch_audit \
 cargo test -q -p attain --test campaign_conformance
 cargo test -q -p attain --test dsl_roundtrip
 
-echo "== shard/scheduler invariance suite (heap ≡ wheel, 1 ≡ N shards)"
+echo "== determinism suite (scale scenarios reproduce their golden fingerprints)"
 cargo test -q -p attain-netsim --test scale_determinism
 
 echo "== scalability smoke (fat-tree k=4, capped event budget)"
