@@ -1,12 +1,15 @@
 //! OpenFlow 1.0 codec throughput: the encode/decode work on the
 //! injector's hot path (the paper's protocol message encoder/decoder,
-//! §VI-B2).
+//! §VI-B2), plus the switch's per-packet `flow_key` extraction on a
+//! full frame and on the truncated prefix a buffered `PACKET_IN`
+//! carries. `cargo bench` writes `BENCH_codec.json` at the workspace
+//! root.
 
+use attain_bench::BenchReport;
 use attain_openflow::packet::{self, TcpFlags};
 use attain_openflow::{
     Action, FlowMod, MacAddr, Match, OfMessage, PacketIn, PacketInReason, PortNo,
 };
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 fn flow_mod() -> OfMessage {
@@ -44,19 +47,17 @@ fn packet_in() -> OfMessage {
     })
 }
 
-fn bench_codec(c: &mut Criterion) {
-    let mut group = c.benchmark_group("codec");
+fn main() {
+    let mut report = BenchReport::new("codec");
     for (name, msg) in [("flow_mod", flow_mod()), ("packet_in", packet_in())] {
         let bytes = msg.encode(1);
-        group.throughput(Throughput::Bytes(bytes.len() as u64));
-        group.bench_function(format!("encode/{name}"), |b| {
-            b.iter(|| black_box(&msg).encode(1))
+        report.time(format!("encode/{name}"), || {
+            black_box(black_box(&msg).encode(1));
         });
-        group.bench_function(format!("decode/{name}"), |b| {
-            b.iter(|| OfMessage::decode(black_box(&bytes)).unwrap())
+        report.time(format!("decode/{name}"), || {
+            black_box(OfMessage::decode(black_box(&bytes)).unwrap());
         });
     }
-    // The switch's per-packet classification step.
     let frame = packet::tcp_segment(
         MacAddr::from_low(1),
         MacAddr::from_low(2),
@@ -70,15 +71,11 @@ fn bench_codec(c: &mut Criterion) {
         vec![0x49; 1460],
     )
     .encode();
-    group.throughput(Throughput::Bytes(frame.len() as u64));
-    group.bench_function("flow_key/full_frame", |b| {
-        b.iter(|| packet::flow_key(black_box(&frame), PortNo(1)))
+    report.time("flow_key/full_frame", || {
+        black_box(packet::flow_key(black_box(&frame), PortNo(1)));
     });
-    group.bench_function("flow_key/truncated_128", |b| {
-        b.iter(|| packet::flow_key(black_box(&frame[..128]), PortNo(1)))
+    report.time("flow_key/truncated_128", || {
+        black_box(packet::flow_key(black_box(&frame[..128]), PortNo(1)));
     });
-    group.finish();
+    report.finish();
 }
-
-criterion_group!(benches, bench_codec);
-criterion_main!(benches);

@@ -11,15 +11,11 @@
 //!   entry, the table-occupancy sweep (64 → 10k) that demonstrates the
 //!   exact tier's O(1) behaviour.
 //!
-//! Besides the interactive criterion output, a full run (not under
-//! `cargo test`) writes `BENCH_flow_table.json` at the workspace root
-//! with ns/iter for every point, for offline comparison across
-//! revisions.
+//! `cargo bench` writes `BENCH_flow_table.json` at the workspace root.
 
-use attain_bench::{timing, BenchReport};
+use attain_bench::BenchReport;
 use attain_netsim::{FlowTable, SimTime};
 use attain_openflow::{packet, Action, FlowKey, FlowMod, MacAddr, Match, PortNo};
-use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 const MISS_SIZES: [usize; 4] = [16, 128, 1024, 10_240];
@@ -74,59 +70,21 @@ fn miss_key() -> FlowKey {
     packet::flow_key(&miss_frame, PortNo(47))
 }
 
-fn bench_flow_table(c: &mut Criterion) {
-    let mut group = c.benchmark_group("flow_table");
-    let miss = miss_key();
-    for &n in &MISS_SIZES {
-        group.bench_with_input(BenchmarkId::new("lookup_miss", n), &n, |b, &n| {
-            let mut t = filled_table(n);
-            b.iter(|| t.lookup(black_box(&miss), 64, SimTime::ZERO));
-        });
-    }
-    for &n in &HIT_SIZES {
-        group.bench_with_input(BenchmarkId::new("lookup_hit_exact", n), &n, |b, &n| {
-            let mut t = filled_table(n);
-            let key = nth_key(n / 2);
-            b.iter(|| t.lookup(black_box(&key), 64, SimTime::ZERO));
-        });
-    }
-    group.finish();
-}
-
-/// Re-measures every point with the plain wall-clock timer and writes
-/// the machine-readable report next to the workspace manifest.
-fn emit_report() {
+fn main() {
     let mut report = BenchReport::new("flow_table");
     let miss = miss_key();
     for &n in &MISS_SIZES {
         let mut t = filled_table(n);
-        let ns = timing::measure_ns(|| {
+        report.time(format!("lookup_miss/{n}"), || {
             black_box(t.lookup(black_box(&miss), 64, SimTime::ZERO));
         });
-        report.record(format!("lookup_miss/{n}"), ns);
     }
     for &n in &HIT_SIZES {
         let mut t = filled_table(n);
         let key = nth_key(n / 2);
-        let ns = timing::measure_ns(|| {
+        report.time(format!("lookup_hit_exact/{n}"), || {
             black_box(t.lookup(black_box(&key), 64, SimTime::ZERO));
         });
-        report.record(format!("lookup_hit_exact/{n}"), ns);
     }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_flow_table.json");
-    match report.write(path) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-}
-
-criterion_group!(benches, bench_flow_table);
-
-fn main() {
-    benches();
-    // Keep `cargo test` runs (which pass --test to harness-less bench
-    // binaries) fast: the report is a full-measurement artifact.
-    if !std::env::args().any(|a| a == "--test") {
-        emit_report();
-    }
+    report.finish();
 }

@@ -1,13 +1,15 @@
 //! Interposition overhead ablation: what the proxy costs per message
 //! when it does nothing (Figure 5's trivial attack) versus when an
 //! attack's rules run — the overhead a practitioner's testbed pays for
-//! hosting ATTAIN at all.
+//! hosting ATTAIN at all. `cargo bench` writes
+//! `BENCH_injector_overhead.json` at the workspace root.
 
+use attain_bench::BenchReport;
 use attain_core::exec::{AttackExecutor, InjectorInput};
 use attain_core::model::ConnectionId;
 use attain_core::{dsl, scenario};
 use attain_openflow::{FlowMod, Frame, Match, OfMessage};
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use std::hint::black_box;
 
 fn executor(source: &str) -> AttackExecutor {
     let sc = scenario::enterprise_network();
@@ -15,10 +17,9 @@ fn executor(source: &str) -> AttackExecutor {
     AttackExecutor::new(sc.system, sc.attack_model, compiled.attack).expect("attack validates")
 }
 
-fn bench_injector_overhead(c: &mut Criterion) {
+fn main() {
     let flow_mod = Frame::new(OfMessage::FlowMod(FlowMod::add(Match::all(), vec![])).encode(1));
-    let mut group = c.benchmark_group("injector_overhead");
-    group.throughput(Throughput::Elements(1));
+    let mut report = BenchReport::new("injector_overhead");
     let cases = [
         ("trivial_pass", scenario::attacks::TRIVIAL_PASS),
         (
@@ -35,22 +36,17 @@ fn bench_injector_overhead(c: &mut Criterion) {
         ),
     ];
     for (name, source) in cases {
-        group.bench_function(name, |b| {
-            let mut exec = executor(source);
-            let mut now = 0u64;
-            b.iter(|| {
-                now += 1;
-                exec.on_message(InjectorInput {
-                    conn: ConnectionId(0),
-                    to_controller: false,
-                    frame: flow_mod.clone(),
-                    now_ns: now,
-                })
-            });
+        let mut exec = executor(source);
+        let mut now = 0u64;
+        report.time(name, || {
+            now += 1;
+            black_box(exec.on_message(InjectorInput {
+                conn: ConnectionId(0),
+                to_controller: false,
+                frame: flow_mod.clone(),
+                now_ns: now,
+            }));
         });
     }
-    group.finish();
+    report.finish();
 }
-
-criterion_group!(benches, bench_injector_overhead);
-criterion_main!(benches);

@@ -1,9 +1,10 @@
 //! End-to-end control-plane message-path cost: allocations and time per
 //! message on the interposed proxy pipeline (§VI-C's hot loop).
 //!
-//! Three workloads, each measured for wall-clock ns/message and — via a
-//! counting global allocator — heap allocations and allocated bytes per
-//! message:
+//! Three workloads, each measured for wall-clock ns/message (`…/time`,
+//! unit `ns`) and — via a counting global allocator — heap allocations
+//! (`…/allocs`, unit `allocs`) and allocated bytes (`…/bytes`, unit `B`)
+//! per message:
 //!
 //! * `executor_pass` — the §VI-D sweep executor (64 non-matching rules)
 //!   passing an `ECHO_REQUEST` through unchanged: the pure pass-through
@@ -14,15 +15,12 @@
 //! * `sim_e2e` — the full §VII case-study network (4 switches, 6 hosts,
 //!   DMZ firewall controller) with the trivial pass-all attack
 //!   interposed, driven by a ping workload; cost is amortized over every
-//!   control-plane message the proxy saw.
+//!   control-plane message the proxy saw in one run, so its rows are
+//!   single values (`n` = 1).
 //!
-//! A full run (not under `cargo test`) writes `BENCH_msg_path.json` at
-//! the workspace root with a `baseline` section (the pre-`Frame`
-//! `Vec<u8>` message path, captured once and kept as constants here) and
-//! a `current` section (this build), so the allocation delta of the
-//! refactor stays visible across revisions.
+//! `cargo bench` writes `BENCH_msg_path.json` at the workspace root.
 
-use attain_bench::{bench_message, rule_sweep_executor, timing, tiny_system};
+use attain_bench::{bench_message, rule_sweep_executor, tiny_system, BenchReport};
 use attain_controllers::ControllerKind;
 use attain_core::exec::{AttackExecutor, InjectorInput};
 use attain_core::lang::{Attack, AttackAction, AttackState, Expr, Property, Rule, Value};
@@ -78,13 +76,8 @@ fn alloc_snapshot() -> (u64, u64) {
 // Workloads
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone)]
-struct Point {
-    name: &'static str,
-    ns_per_msg: f64,
-    allocs_per_msg: f64,
-    alloc_bytes_per_msg: f64,
-}
+/// Messages the allocation counters average over.
+const ALLOC_ITERS: u64 = 10_000;
 
 /// An attack whose single rule always fires and duplicates the message.
 fn duplicate_executor() -> AttackExecutor {
@@ -109,151 +102,71 @@ fn duplicate_executor() -> AttackExecutor {
     AttackExecutor::new(system, model, attack).expect("duplicate attack validates")
 }
 
-/// Measures one executor workload: allocation counting over a fixed
+/// Records one executor workload: allocation counting over a fixed
 /// batch, then wall-clock timing (counted separately so timing noise
 /// cannot perturb the deterministic allocation numbers).
-fn measure_executor(name: &'static str, mut exec: AttackExecutor, iters: u64) -> Point {
+fn executor_rows(report: &mut BenchReport, name: &str, mut exec: AttackExecutor) {
     let msg = bench_message();
-    let run_one = |exec: &mut AttackExecutor, now: &mut u64| {
-        *now += 1_000;
+    let mut now = 0u64;
+    let mut run_one = || {
+        now += 1_000;
         let out = exec.on_message(InjectorInput {
             conn: ConnectionId(0),
             to_controller: true,
             frame: msg.clone(),
-            now_ns: *now,
+            now_ns: now,
         });
         black_box(out);
     };
     // Warm up (executor log buffers etc. reach steady state).
-    let mut now = 0u64;
     for _ in 0..64 {
-        run_one(&mut exec, &mut now);
+        run_one();
     }
     let (calls0, bytes0) = alloc_snapshot();
-    for _ in 0..iters {
-        run_one(&mut exec, &mut now);
+    for _ in 0..ALLOC_ITERS {
+        run_one();
     }
     let (calls1, bytes1) = alloc_snapshot();
-    let ns = timing::measure_ns(|| run_one(&mut exec, &mut now));
-    Point {
-        name,
-        ns_per_msg: ns,
-        allocs_per_msg: (calls1 - calls0) as f64 / iters as f64,
-        alloc_bytes_per_msg: (bytes1 - bytes0) as f64 / iters as f64,
-    }
+    let per_msg = |n: u64| n as f64 / ALLOC_ITERS as f64;
+    report.record(format!("{name}/allocs"), "allocs", per_msg(calls1 - calls0));
+    report.record(format!("{name}/bytes"), "B", per_msg(bytes1 - bytes0));
+    report.time(format!("{name}/time"), run_one);
 }
 
 /// The end-to-end pipeline: the §VII case study with the trivial
 /// pass-all attack interposed, a 30-trial ping workload, costs amortized
 /// over every control-plane message that crossed the proxy.
-fn measure_sim_e2e() -> Point {
-    let build = || {
-        let mut sim = build_case_study(ControllerKind::Floodlight, FailMode::Secure);
-        let _exec = attach_attack(&mut sim, scenario::attacks::TRIVIAL_PASS);
-        let h1 = sim.node_id("h1").expect("case study has h1");
-        sim.schedule_command(
-            SimTime::from_secs(1),
-            HostCommand::Ping {
-                host: h1,
-                dst: "10.0.0.6".parse().expect("valid address"),
-                count: 30,
-                interval: SimTime::from_secs(1),
-                label: "bench ping".into(),
-            },
-        );
-        sim
-    };
-    // Allocation pass: count only the run, not construction.
-    let mut sim = build();
+fn sim_e2e_rows(report: &mut BenchReport) {
+    let mut sim = build_case_study(ControllerKind::Floodlight, FailMode::Secure);
+    let _exec = attach_attack(&mut sim, scenario::attacks::TRIVIAL_PASS);
+    let h1 = sim.node_id("h1").expect("case study has h1");
+    sim.schedule_command(
+        SimTime::from_secs(1),
+        HostCommand::Ping {
+            host: h1,
+            dst: "10.0.0.6".parse().expect("valid address"),
+            count: 30,
+            interval: SimTime::from_secs(1),
+            label: "bench ping".into(),
+        },
+    );
+    // Count and time only the run, not construction.
     let (calls0, bytes0) = alloc_snapshot();
     let t = std::time::Instant::now();
     sim.run_until(SimTime::from_secs(40));
     let wall_ns = t.elapsed().as_nanos() as f64;
     let (calls1, bytes1) = alloc_snapshot();
-    let msgs = sim.trace().control_message_total();
-    assert!(msgs > 0, "e2e bench saw no control-plane traffic");
-    Point {
-        name: "sim_e2e",
-        ns_per_msg: wall_ns / msgs as f64,
-        allocs_per_msg: (calls1 - calls0) as f64 / msgs as f64,
-        alloc_bytes_per_msg: (bytes1 - bytes0) as f64 / msgs as f64,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Report
-// ---------------------------------------------------------------------------
-
-/// The pre-`Frame` baseline: the same three workloads measured at the
-/// commit before the message path moved from owned `Vec<u8>` hops to
-/// shared `Frame`s. Kept as constants so every future run of this bench
-/// reports the refactor's delta. `None` until captured.
-///
-/// Captured on the pre-refactor tree (commit after PR 4):
-/// `(name, ns_per_msg, allocs_per_msg, alloc_bytes_per_msg)`. The
-/// allocation columns are deterministic; the ns column is indicative.
-const BASELINE: Option<[(&str, f64, f64, f64); 3]> = Some([
-    ("executor_pass", 2926.9, 3.000, 128.0),
-    ("executor_duplicate", 461.6, 8.001, 648.9),
-    ("sim_e2e", 2665.2, 26.417, 2817.0),
-]);
-
-fn json_point(name: &str, ns: f64, allocs: f64, bytes: f64) -> String {
-    format!(
-        "    {{\"name\": \"{name}\", \"ns_per_msg\": {ns:.1}, \"allocs_per_msg\": {allocs:.3}, \"alloc_bytes_per_msg\": {bytes:.1}}}"
-    )
-}
-
-fn emit_report(points: &[Point]) {
-    let mut out = String::from("{\n  \"bench\": \"msg_path\",\n");
-    out.push_str("  \"baseline\": [\n");
-    if let Some(base) = BASELINE {
-        let rendered: Vec<String> = base
-            .iter()
-            .map(|(n, ns, a, b)| json_point(n, *ns, *a, *b))
-            .collect();
-        out.push_str(&rendered.join(",\n"));
-        out.push('\n');
-    }
-    out.push_str("  ],\n  \"current\": [\n");
-    let rendered: Vec<String> = points
-        .iter()
-        .map(|p| {
-            json_point(
-                p.name,
-                p.ns_per_msg,
-                p.allocs_per_msg,
-                p.alloc_bytes_per_msg,
-            )
-        })
-        .collect();
-    out.push_str(&rendered.join(",\n"));
-    out.push_str("\n  ]\n}\n");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_msg_path.json");
-    match std::fs::write(path, &out) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    let msgs = sim.trace().control_message_total() as f64;
+    assert!(msgs > 0.0, "e2e bench saw no control-plane traffic");
+    report.record("sim_e2e/allocs", "allocs", (calls1 - calls0) as f64 / msgs);
+    report.record("sim_e2e/bytes", "B", (bytes1 - bytes0) as f64 / msgs);
+    report.record("sim_e2e/time", "ns", wall_ns / msgs);
 }
 
 fn main() {
-    // Under `cargo test` the harness-less bench binary gets `--test`:
-    // run a one-message smoke of each workload and exit fast.
-    if std::env::args().any(|a| a == "--test") {
-        let p = measure_executor("executor_pass", rule_sweep_executor(64, false), 1);
-        assert!(p.allocs_per_msg >= 0.0);
-        return;
-    }
-    let points = vec![
-        measure_executor("executor_pass", rule_sweep_executor(64, false), 10_000),
-        measure_executor("executor_duplicate", duplicate_executor(), 10_000),
-        measure_sim_e2e(),
-    ];
-    for p in &points {
-        println!(
-            "{:<20} {:>10.1} ns/msg {:>8.3} allocs/msg {:>10.1} B/msg",
-            p.name, p.ns_per_msg, p.allocs_per_msg, p.alloc_bytes_per_msg
-        );
-    }
-    emit_report(&points);
+    let mut report = BenchReport::new("msg_path");
+    executor_rows(&mut report, "executor_pass", rule_sweep_executor(64, false));
+    executor_rows(&mut report, "executor_duplicate", duplicate_executor());
+    sim_e2e_rows(&mut report);
+    report.finish();
 }

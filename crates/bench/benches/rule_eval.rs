@@ -17,20 +17,16 @@
 //!   narrows each message to ~|Φ|/8 real (non-firing) candidate
 //!   evaluations: the selectivity regime between the two extremes.
 //!
-//! Besides the interactive criterion output, a full run (not under
-//! `cargo test`) re-measures every point in **both** dispatch modes
-//! with the plain wall-clock timer and writes `BENCH_rule_eval.json`
-//! at the workspace root with `scan_ns_per_iter` and
-//! `dispatch_ns_per_iter` columns, so the speedup stays checked in
-//! across revisions.
+//! Every point is measured in **both** dispatch modes, as `scan/…` and
+//! `dispatch/…` rows, so the speedup stays checked in across revisions;
+//! `cargo bench` writes `BENCH_rule_eval.json` at the workspace root.
 
 use attain_bench::{
-    bench_message, mixed_messages, mixed_type_executor, rule_sweep_executor_mode, timing,
+    bench_message, mixed_messages, mixed_type_executor, rule_sweep_executor_mode, BenchReport,
 };
 use attain_core::exec::{AttackExecutor, DispatchMode, InjectorInput};
 use attain_core::model::ConnectionId;
 use attain_openflow::Frame;
-use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
 const SIZES: [usize; 5] = [1, 8, 64, 256, 1024];
@@ -48,96 +44,44 @@ fn step(exec: &mut AttackExecutor, frame: &Frame, now: &mut u64) {
     black_box(out);
 }
 
-fn bench_rule_eval(c: &mut Criterion) {
-    let msg = bench_message();
-    let mixed = mixed_messages();
-    let mut group = c.benchmark_group("rule_eval");
-    for &rules in &SIZES {
-        group.throughput(Throughput::Elements(1));
-        for (label, all_match) in [("one_match", false), ("all_match", true)] {
-            group.bench_with_input(BenchmarkId::new(label, rules), &rules, |b, &rules| {
-                let mut exec = rule_sweep_executor_mode(rules, all_match, DispatchMode::Compiled);
-                let mut now = 0u64;
-                b.iter(|| step(&mut exec, &msg, &mut now));
-            });
-        }
-        group.bench_with_input(
-            BenchmarkId::new("mixed_types", rules),
-            &rules,
-            |b, &rules| {
-                let mut exec = mixed_type_executor(rules, DispatchMode::Compiled);
-                let mut now = 0u64;
-                let mut i = 0usize;
-                b.iter(|| {
-                    let frame = &mixed[i % mixed.len()];
-                    i += 1;
-                    step(&mut exec, frame, &mut now);
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
-/// Measures one (executor, workload) point: mean ns/message with the
-/// frame set cycled round-robin.
-fn measure_point(mut exec: AttackExecutor, frames: &[Frame]) -> f64 {
+/// Times one (executor, workload) point: ns/message with the frame set
+/// cycled round-robin.
+fn time_point(report: &mut BenchReport, name: String, mut exec: AttackExecutor, frames: &[Frame]) {
     let mut now = 0u64;
     let mut i = 0usize;
-    timing::measure_ns(move || {
+    report.time(name, || {
         let frame = &frames[i % frames.len()];
         i += 1;
         step(&mut exec, frame, &mut now);
-    })
+    });
 }
-
-/// Re-measures every point under both dispatch modes and writes the
-/// two-column machine-readable report next to the workspace manifest.
-fn emit_report() {
-    let single = vec![bench_message()];
-    let mixed = mixed_messages();
-    let mut rows: Vec<(String, f64, f64)> = Vec::new();
-    for &rules in &SIZES {
-        for (label, all_match) in [("one_match", false), ("all_match", true)] {
-            let scan = measure_point(
-                rule_sweep_executor_mode(rules, all_match, DispatchMode::Scan),
-                &single,
-            );
-            let dispatch = measure_point(
-                rule_sweep_executor_mode(rules, all_match, DispatchMode::Compiled),
-                &single,
-            );
-            rows.push((format!("{label}/{rules}"), scan, dispatch));
-        }
-        let scan = measure_point(mixed_type_executor(rules, DispatchMode::Scan), &mixed);
-        let dispatch = measure_point(mixed_type_executor(rules, DispatchMode::Compiled), &mixed);
-        rows.push((format!("mixed_types/{rules}"), scan, dispatch));
-    }
-    let mut out = String::from("{\n  \"bench\": \"rule_eval\",\n  \"results\": [\n");
-    for (i, (name, scan, dispatch)) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    {{\"name\": \"{name}\", \"scan_ns_per_iter\": {scan:.2}, \"dispatch_ns_per_iter\": {dispatch:.2}}}{comma}\n"
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_rule_eval.json");
-    match std::fs::write(path, &out) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-    for (name, scan, dispatch) in &rows {
-        println!("{name:<18} scan {scan:>12.1} ns/msg   dispatch {dispatch:>12.1} ns/msg");
-    }
-}
-
-criterion_group!(benches, bench_rule_eval);
 
 fn main() {
-    benches();
-    // Keep `cargo test` runs (which pass --test to harness-less bench
-    // binaries) fast: the report is a full-measurement artifact.
-    if !std::env::args().any(|a| a == "--test") {
-        emit_report();
+    let single = [bench_message()];
+    let mixed = mixed_messages();
+    let mut report = BenchReport::new("rule_eval");
+    for (label, mode) in [
+        ("scan", DispatchMode::Scan),
+        ("dispatch", DispatchMode::Compiled),
+    ] {
+        for &rules in &SIZES {
+            for (workload, all_match) in [("one_match", false), ("all_match", true)] {
+                let exec = rule_sweep_executor_mode(rules, all_match, mode);
+                time_point(
+                    &mut report,
+                    format!("{label}/{workload}/{rules}"),
+                    exec,
+                    &single,
+                );
+            }
+            let exec = mixed_type_executor(rules, mode);
+            time_point(
+                &mut report,
+                format!("{label}/mixed_types/{rules}"),
+                exec,
+                &mixed,
+            );
+        }
     }
+    report.finish();
 }

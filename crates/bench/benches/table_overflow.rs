@@ -11,18 +11,16 @@
 //! * `inference_estimate` — not a timing at all: the capacity the
 //!   data-plane probe host recovers from RTT inflection against a Ryu
 //!   controller (see `netsim/tests/capacity_inference.rs`). The value
-//!   recorded is the estimate in entries, so the checked-in JSON pins
+//!   recorded is the estimate in `entries`, so the checked-in JSON pins
 //!   the ±5% accuracy claim alongside the timings.
 //!
-//! Besides the interactive criterion output, a full run (not under
-//! `cargo test`) writes `BENCH_table_overflow.json` at the workspace
+//! `cargo bench` writes `BENCH_table_overflow.json` at the workspace
 //! root.
 
-use attain_bench::{timing, BenchReport};
+use attain_bench::BenchReport;
 use attain_controllers::Ryu;
 use attain_netsim::{EvictionPolicy, FlowTable, HostCommand, NetworkBuilder, SimTime, Simulation};
 use attain_openflow::{Action, FlowKey, FlowMod, MacAddr, Match, PortNo};
-use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 const CAPACITIES: [usize; 3] = [64, 256, 1024];
@@ -96,74 +94,37 @@ fn probe_estimate(capacity: usize, policy: EvictionPolicy) -> Option<usize> {
     sim.probe_stats()[0].estimate()
 }
 
-fn bench_table_overflow(c: &mut Criterion) {
-    let mut group = c.benchmark_group("table_overflow");
-    for policy in POLICIES {
-        group.bench_with_input(
-            BenchmarkId::new("install_at_capacity", policy.name()),
-            &policy,
-            |b, &policy| {
-                let mut t = filled_table(1024, policy);
-                let mut i = 1024usize;
-                b.iter(|| {
-                    i += 1;
-                    black_box(t.apply(&nth_add(i), SimTime::ZERO).ok());
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
-/// Re-measures every point with the plain wall-clock timer and writes
-/// the machine-readable report next to the workspace manifest.
-fn emit_report() {
+fn main() {
     let mut report = BenchReport::new("table_overflow");
     for policy in POLICIES {
         for cap in CAPACITIES {
-            let ns = timing::measure_ns(|| {
+            report.time_per(format!("fill/{}/{cap}", policy.name()), cap, || {
                 black_box(filled_table(cap, policy));
             });
-            report.record(format!("fill/{}/{cap}", policy.name()), ns / cap as f64);
         }
     }
     for policy in POLICIES {
         for cap in CAPACITIES {
             let mut t = filled_table(cap, policy);
             let mut i = cap;
-            let ns = timing::measure_ns(|| {
-                i += 1;
-                black_box(t.apply(&nth_add(i), SimTime::ZERO).ok());
-            });
-            report.record(format!("install_at_capacity/{}/{cap}", policy.name()), ns);
+            report.time(
+                format!("install_at_capacity/{}/{cap}", policy.name()),
+                || {
+                    i += 1;
+                    black_box(t.apply(&nth_add(i), SimTime::ZERO).ok());
+                },
+            );
         }
     }
     for policy in POLICIES {
         for cap in CAPACITIES {
-            let estimate = probe_estimate(cap, policy).expect("probe completes") as f64;
+            let estimate = probe_estimate(cap, policy).expect("probe completes");
             report.record(
                 format!("inference_estimate/{}/{cap}", policy.name()),
-                estimate,
+                "entries",
+                estimate as f64,
             );
         }
     }
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_table_overflow.json"
-    );
-    match report.write(path) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-}
-
-criterion_group!(benches, bench_table_overflow);
-
-fn main() {
-    benches();
-    // Keep `cargo test` runs (which pass --test to harness-less bench
-    // binaries) fast: the report is a full-measurement artifact.
-    if !std::env::args().any(|a| a == "--test") {
-        emit_report();
-    }
+    report.finish();
 }

@@ -6,35 +6,26 @@
 //!
 //! Usage: `cargo run --release -p attain-bench --bin rule_scalability`
 
-use attain_bench::{bench_message, render_table, rule_sweep_executor};
+use attain_bench::{bench_message, render_table, rule_sweep_executor, timing};
 use attain_core::exec::InjectorInput;
 use attain_core::model::ConnectionId;
 use attain_core::scenario;
-use std::time::Instant;
+use std::hint::black_box;
 
 fn measure_ns_per_message(rules: usize, all_match: bool) -> f64 {
     let mut exec = rule_sweep_executor(rules, all_match);
     let msg = bench_message();
-    // Warm up, then measure enough iterations to dominate timer noise.
-    let iters: u64 = (2_000_000 / (rules as u64 + 10)).max(200);
-    for i in 0..iters / 10 {
-        exec.on_message(InjectorInput {
+    let mut now = 0u64;
+    timing::measure(|| {
+        now += 1;
+        black_box(exec.on_message(InjectorInput {
             conn: ConnectionId(0),
             to_controller: true,
             frame: msg.clone(),
-            now_ns: i,
-        });
-    }
-    let start = Instant::now();
-    for i in 0..iters {
-        exec.on_message(InjectorInput {
-            conn: ConnectionId(0),
-            to_controller: true,
-            frame: msg.clone(),
-            now_ns: i,
-        });
-    }
-    start.elapsed().as_nanos() as f64 / iters as f64
+            now_ns: now,
+        }));
+    })
+    .median
 }
 
 fn main() {

@@ -2,7 +2,7 @@
 //! past the paper's eleven-node testbed.
 //!
 //! Usage:
-//!   cargo run --release --bin scalability [options]
+//!   cargo run --release -p attain-bench --bin scalability [options]
 //!
 //!   --smoke            the capped CI sweep (fat-tree k=4 only)
 //!   --max-events N     deterministic event budget per row (default:
@@ -13,16 +13,18 @@
 //! proactive two-level prefix routes, schedules a seeded traffic matrix,
 //! and runs to the horizon in [`TraceMode::Counters`], reporting virtual
 //! events dispatched, wall-clock, event rate, and the engine's peak
-//! pending-event depth. The largest row reaches 1,024 switches and
-//! 100,000 concurrent flows.
+//! pending-event depth as `<fabric>/events_per_s`, `/wall_ms`, `/events`
+//! and `/peak_pending` rows (single runs, `n` = 1). The largest row
+//! reaches 1,024 switches and 100,000 concurrent flows. Exits non-zero if
+//! a row delivers no pings or halts on anything but its horizon.
 
+use attain_bench::BenchReport;
 use attain_netsim::topo::{
     fat_tree, install_fat_tree_routes, install_leaf_spine_routes, leaf_spine, FatTreeParams,
     LeafSpineParams, Topology,
 };
 use attain_netsim::workload::{FlowKind, TrafficMatrix, TrafficPattern};
-use attain_netsim::{NetworkBuilder, RunBudget, SimTime, Simulation, TraceMode};
-use std::fmt::Write as _;
+use attain_netsim::{HaltReason, NetworkBuilder, RunBudget, SimTime, Simulation, TraceMode};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -59,7 +61,7 @@ struct Outcome {
     peak_pending: usize,
     pings_sent: u64,
     pings_received: u64,
-    halt: String,
+    halt: HaltReason,
 }
 
 fn sweep_rows(smoke: bool) -> Vec<Row> {
@@ -178,37 +180,8 @@ fn run_row(row: &Row, max_events: u64) -> Outcome {
         peak_pending: sim.peak_pending_events(),
         pings_sent: pings.iter().map(|p| u64::from(p.transmitted())).sum(),
         pings_received: pings.iter().map(|p| u64::from(p.received())).sum(),
-        halt: format!("{halt:?}"),
+        halt,
     }
-}
-
-fn render_json(outcomes: &[Outcome]) -> String {
-    let mut s = String::from("{\n  \"bench\": \"scalability\",\n  \"rows\": [\n");
-    for (i, o) in outcomes.iter().enumerate() {
-        let comma = if i + 1 == outcomes.len() { "" } else { "," };
-        let _ = writeln!(
-            s,
-            "    {{\"name\": \"{}\", \"switches\": {}, \"hosts\": {}, \
-             \"flows\": {}, \"routes\": {}, \"events\": {}, \"wall_ms\": {:.1}, \
-             \"events_per_sec\": {:.0}, \"peak_pending\": {}, \"pings_sent\": {}, \
-             \"pings_received\": {}, \"halt\": \"{}\"}}{}",
-            o.name,
-            o.switches,
-            o.hosts,
-            o.flows,
-            o.routes,
-            o.events,
-            o.wall_ms,
-            o.events_per_sec,
-            o.peak_pending,
-            o.pings_sent,
-            o.pings_received,
-            o.halt,
-            comma
-        );
-    }
-    s.push_str("  ]\n}\n");
-    s
 }
 
 fn arg_value(args: &[String], key: &str) -> Option<String> {
@@ -227,33 +200,34 @@ fn main() -> ExitCode {
         .unwrap_or(if smoke { 2_000_000 } else { 50_000_000 });
     let json_path = arg_value(&args, "--json");
 
-    let mut outcomes = Vec::new();
-    println!(
-        "{:<20} {:>8} {:>7} {:>7} {:>10} {:>9} {:>11} {:>9}",
-        "fabric", "switches", "hosts", "flows", "events", "wall ms", "events/s", "peak q"
-    );
+    let mut report = BenchReport::new("scalability");
     for row in sweep_rows(smoke) {
         let o = run_row(&row, max_events);
         println!(
-            "{:<20} {:>8} {:>7} {:>7} {:>10} {:>9.1} {:>11.0} {:>9}",
-            o.name,
-            o.switches,
-            o.hosts,
-            o.flows,
-            o.events,
-            o.wall_ms,
-            o.events_per_sec,
-            o.peak_pending
+            "{}: {} switches, {} hosts, {} flows, {} routes, {}/{} pings, halt {:?}",
+            o.name, o.switches, o.hosts, o.flows, o.routes, o.pings_received, o.pings_sent, o.halt
+        );
+        let name = o.name;
+        report.record(format!("{name}/events_per_s"), "events/s", o.events_per_sec);
+        report.record(format!("{name}/wall_ms"), "ms", o.wall_ms);
+        report.record(format!("{name}/events"), "events", o.events as f64);
+        report.record(
+            format!("{name}/peak_pending"),
+            "events",
+            o.peak_pending as f64,
         );
         if o.pings_received == 0 {
-            eprintln!("error: {} delivered no pings", o.name);
+            eprintln!("error: {name} delivered no pings");
             return ExitCode::FAILURE;
         }
-        outcomes.push(o);
+        if o.halt != HaltReason::Horizon {
+            eprintln!("error: {name} halted on {:?}, not its horizon", o.halt);
+            return ExitCode::FAILURE;
+        }
     }
 
     if let Some(path) = json_path {
-        std::fs::write(&path, render_json(&outcomes)).expect("write json report");
+        std::fs::write(&path, report.to_json()).expect("write json report");
         println!("wrote {path}");
     }
     ExitCode::SUCCESS

@@ -1,5 +1,6 @@
 //! Shared formatting and workload helpers for the experiment binaries
-//! and criterion benchmarks.
+//! and benchmarks, plus the one timer and report emitter behind every
+//! checked-in `BENCH_*.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -238,17 +239,35 @@ pub fn type_histogram(counts: &[(OfType, u64)]) -> String {
         .join(", ")
 }
 
-/// Adaptive wall-clock timing for machine-readable bench reports.
+/// The one per-call wall-clock timer every bench row goes through.
 pub mod timing {
     use std::time::{Duration, Instant};
 
-    /// Measures `f`'s mean wall-clock cost in nanoseconds per call.
+    /// Windows the measurement budget is split into; a timed row's `n`.
+    pub const WINDOWS: usize = 5;
+
+    /// Total wall-clock budget for one measured point.
+    const BUDGET: Duration = Duration::from_millis(200);
+
+    /// Per-call cost over [`WINDOWS`] windows, in nanoseconds.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct Sample {
+        /// Median window.
+        pub median: f64,
+        /// Fastest window.
+        pub min: f64,
+        /// Slowest window.
+        pub max: f64,
+    }
+
+    /// Measures `f`'s wall-clock cost in nanoseconds per call.
     ///
-    /// Calibrates a batch size until one batch takes at least ~1 ms,
-    /// then measures batches for a ~200 ms budget — enough to keep
-    /// sub-100ns routines out of timer-resolution noise without the
-    /// statistical machinery of a full benchmark harness.
-    pub fn measure_ns(mut f: impl FnMut()) -> f64 {
+    /// Calibrates a batch size until one batch takes at least ~1 ms
+    /// (which doubles as warm-up), then splits a ~200 ms budget into
+    /// [`WINDOWS`] equal windows, each timing whole batches — enough to
+    /// keep sub-100 ns routines out of timer-resolution noise while
+    /// still showing the run-to-run spread.
+    pub fn measure(mut f: impl FnMut()) -> Sample {
         let mut batch: u64 = 1;
         loop {
             let t = Instant::now();
@@ -260,38 +279,116 @@ pub mod timing {
             }
             batch *= 8;
         }
-        let start = Instant::now();
-        let mut iters: u64 = 0;
-        while start.elapsed() < Duration::from_millis(200) {
-            for _ in 0..batch {
-                f();
+        let window = BUDGET / WINDOWS as u32;
+        let mut per_call = [0.0f64; WINDOWS];
+        for slot in &mut per_call {
+            let start = Instant::now();
+            let mut iters: u64 = 0;
+            while start.elapsed() < window {
+                for _ in 0..batch {
+                    f();
+                }
+                iters += batch;
             }
-            iters += batch;
+            *slot = start.elapsed().as_nanos() as f64 / iters as f64;
         }
-        start.elapsed().as_nanos() as f64 / iters as f64
+        per_call.sort_by(f64::total_cmp);
+        Sample {
+            median: per_call[WINDOWS / 2],
+            min: per_call[0],
+            max: per_call[WINDOWS - 1],
+        }
     }
 }
 
-/// A machine-readable benchmark report, written as JSON without any
-/// serialization dependency (the container builds offline).
+use timing::Sample;
+
+/// One report row: a named value with its unit, spread and sample count.
+#[derive(Debug, Clone)]
+struct BenchRow {
+    name: String,
+    unit: &'static str,
+    sample: Sample,
+    n: usize,
+}
+
+/// The one emitter for every checked-in `BENCH_*.json`, written without
+/// any serialization dependency (the container builds offline).
+///
+/// The report owns the run mode. `cargo bench` passes `--bench` to a
+/// harness-less bench binary: that is a full run, which measures every
+/// point and writes the file. Any other invocation (`cargo test
+/// --benches`, `--all-targets`) is a quick run: each timed point runs
+/// once as a smoke test and nothing is written.
 #[derive(Debug, Clone)]
 pub struct BenchReport {
     bench: String,
-    results: Vec<(String, f64)>,
+    full: bool,
+    rows: Vec<BenchRow>,
 }
 
 impl BenchReport {
-    /// An empty report for the benchmark suite `bench`.
+    /// An empty report for the benchmark suite `bench`, in the run mode
+    /// the process arguments select.
     pub fn new(bench: impl Into<String>) -> BenchReport {
+        BenchReport::from_args(bench, std::env::args())
+    }
+
+    fn from_args(bench: impl Into<String>, args: impl IntoIterator<Item = String>) -> BenchReport {
         BenchReport {
             bench: bench.into(),
-            results: Vec::new(),
+            full: args.into_iter().any(|a| a == "--bench"),
+            rows: Vec::new(),
         }
     }
 
-    /// Appends one measured point.
-    pub fn record(&mut self, name: impl Into<String>, ns_per_iter: f64) {
-        self.results.push((name.into(), ns_per_iter));
+    /// Times `f` and records its cost in ns per call.
+    pub fn time(&mut self, name: impl Into<String>, f: impl FnMut()) {
+        self.time_per(name, 1, f);
+    }
+
+    /// Times `f`, which does `items` units of work per call, and records
+    /// its cost in ns per unit. A quick run calls `f` once instead.
+    pub fn time_per(&mut self, name: impl Into<String>, items: usize, mut f: impl FnMut()) {
+        if !self.full {
+            f();
+            return;
+        }
+        let s = timing::measure(f);
+        let k = items as f64;
+        let sample = Sample {
+            median: s.median / k,
+            min: s.min / k,
+            max: s.max / k,
+        };
+        self.push(name.into(), "ns", sample, timing::WINDOWS);
+    }
+
+    /// Records one counted or derived value in its own `unit`.
+    pub fn record(&mut self, name: impl Into<String>, unit: &'static str, value: f64) {
+        let sample = Sample {
+            median: value,
+            min: value,
+            max: value,
+        };
+        self.push(name.into(), unit, sample, 1);
+    }
+
+    fn push(&mut self, name: String, unit: &'static str, sample: Sample, n: usize) {
+        if n > 1 {
+            println!(
+                "{name:<48} {:>12.2} {unit}  [{:.2} .. {:.2}]",
+                sample.median, sample.min, sample.max
+            );
+        } else {
+            println!("{name:<48} {:>12.2} {unit}", sample.median);
+        }
+        self.rows.push(BenchRow {
+            name,
+            unit,
+            sample,
+            n,
+        });
     }
 
     /// Renders the report as a JSON document.
@@ -306,15 +403,21 @@ impl BenchReport {
                 })
                 .collect()
         }
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
         let mut out = String::from("{\n");
         out.push_str(&format!("  \"bench\": \"{}\",\n", esc(&self.bench)));
-        out.push_str("  \"results\": [\n");
-        for (i, (name, ns)) in self.results.iter().enumerate() {
-            let comma = if i + 1 < self.results.len() { "," } else { "" };
+        out.push_str(&format!("  \"cpus\": {cpus},\n"));
+        out.push_str("  \"rows\": [\n");
+        for (i, r) in self.rows.iter().enumerate() {
+            let comma = if i + 1 < self.rows.len() { "," } else { "" };
             out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"ns_per_iter\": {:.2}}}{}\n",
-                esc(name),
-                ns,
+                "    {{\"name\": \"{}\", \"unit\": \"{}\", \"median\": {:.2}, \"min\": {:.2}, \"max\": {:.2}, \"n\": {}}}{}\n",
+                esc(&r.name),
+                esc(r.unit),
+                r.sample.median,
+                r.sample.min,
+                r.sample.max,
+                r.n,
                 comma
             ));
         }
@@ -322,13 +425,39 @@ impl BenchReport {
         out
     }
 
-    /// Writes the JSON document to `path`.
+    /// Writes the JSON document to `path` on a full run; a quick run
+    /// writes nothing. Returns whether the file was written.
     ///
     /// # Errors
     ///
     /// Propagates the underlying filesystem error.
-    pub fn write(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
+    pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<bool> {
+        if !self.full {
+            return Ok(false);
+        }
+        std::fs::write(path, self.to_json())?;
+        Ok(true)
+    }
+
+    /// Saves the report as `BENCH_<bench>.json` at the workspace root.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the file cannot be written.
+    pub fn finish(&self) {
+        let path = format!(
+            "{}/../../BENCH_{}.json",
+            env!("CARGO_MANIFEST_DIR"),
+            self.bench
+        );
+        let wrote = self
+            .save(&path)
+            .unwrap_or_else(|e| panic!("could not write {path}: {e}"));
+        if wrote {
+            println!("wrote {path}");
+        } else {
+            println!("quick run (no --bench): {path} left as it is");
+        }
     }
 }
 
@@ -353,24 +482,55 @@ mod tests {
 
     #[test]
     fn bench_report_renders_valid_json() {
-        let mut r = BenchReport::new("flow_table");
-        r.record("lookup_hit_exact/64", 41.5);
-        r.record("odd \"name\"", 1.0);
+        let mut r = BenchReport::from_args("flow_table", ["--bench".to_string()]);
+        let timed = Sample {
+            median: 41.5,
+            min: 40.0,
+            max: 45.25,
+        };
+        r.push("lookup_hit_exact/64".into(), "ns", timed, timing::WINDOWS);
+        r.record("executor_pass/allocs", "allocs", 4.0);
+        r.record("odd \"name\"\\\n", "B", 1.0);
         let json = r.to_json();
-        assert!(json.contains("\"bench\": \"flow_table\""));
-        assert!(json.contains("{\"name\": \"lookup_hit_exact/64\", \"ns_per_iter\": 41.50},"));
-        assert!(json.contains("odd \\\"name\\\""));
+        assert!(json.starts_with("{\n  \"bench\": \"flow_table\",\n  \"cpus\": "));
+        assert!(json.contains(",\n  \"rows\": [\n"));
+        assert!(json.contains(
+            "    {\"name\": \"lookup_hit_exact/64\", \"unit\": \"ns\", \
+             \"median\": 41.50, \"min\": 40.00, \"max\": 45.25, \"n\": 5},\n"
+        ));
+        assert!(json.contains(
+            "{\"name\": \"executor_pass/allocs\", \"unit\": \"allocs\", \
+             \"median\": 4.00, \"min\": 4.00, \"max\": 4.00, \"n\": 1},\n"
+        ));
+        assert!(json.contains("\"name\": \"odd \\\"name\\\"\\\\\\u000a\", \"unit\": \"B\""));
         // Last element carries no trailing comma.
-        assert!(json.contains("1.00}\n"));
+        assert!(json.ends_with("\"n\": 1}\n  ]\n}\n"));
     }
 
     #[test]
-    fn measure_ns_returns_positive_time() {
+    fn quick_run_writes_no_file() {
+        let path = std::env::temp_dir().join(format!("BENCH_quick_{}.json", std::process::id()));
+        let mut calls = 0;
+        let mut quick = BenchReport::from_args("quick", ["bench_binary".to_string()]);
+        quick.time("point", || calls += 1);
+        assert_eq!(calls, 1, "a quick run calls each timed point once");
+        quick.record("count", "entries", 64.0);
+        assert!(!quick.save(&path).expect("quick save is a no-op"));
+        assert!(!path.exists());
+        let mut full = BenchReport::from_args("quick", ["--bench".to_string()]);
+        full.record("count", "entries", 64.0);
+        assert!(full.save(&path).expect("temp dir is writable"));
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), full.to_json());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn measure_returns_ordered_window_stats() {
         // Keep it cheap: measure an empty closure; even that takes >0 ns
         // amortized, and must not panic or divide by zero.
-        let ns = timing::measure_ns(|| {});
-        assert!(ns >= 0.0);
-        assert!(ns.is_finite());
+        let s = timing::measure(|| {});
+        assert!(s.min >= 0.0 && s.max.is_finite());
+        assert!(s.min <= s.median && s.median <= s.max);
     }
 
     #[test]

@@ -2,11 +2,6 @@
 //! simulation, the message path parses each frame's bytes at most once,
 //! no matter how many hops (proxy, executor, switch, controller,
 //! tracer) inspect it.
-//!
-//! This file holds exactly one test because
-//! [`frame_decode_count`](attain_openflow::frame_decode_count) is a
-//! process-wide counter — a sibling test in the same binary would
-//! perturb the delta.
 
 use attain_controllers::ControllerKind;
 use attain_core::scenario;

@@ -17,21 +17,30 @@ use crate::error::CodecError;
 use crate::header::OFP_HEADER_LEN;
 use crate::message::OfMessage;
 use crate::types::Xid;
+use std::cell::Cell;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Number of real (non-memoized) `OfMessage::decode` calls performed on
-/// behalf of frames, process-wide. Test instrumentation for the
-/// single-decode invariant: read it before and after a scenario and the
-/// delta bounds the parse work the message path did.
-static DECODE_COUNT: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Number of real (non-memoized) `OfMessage::decode` calls performed
+    /// on behalf of frames by this thread. Test instrumentation for the
+    /// single-decode invariant: read it before and after a scenario and
+    /// the delta bounds the parse work the message path did. Per thread,
+    /// so concurrently running tests never see each other's decodes.
+    static DECODE_COUNT: Cell<u64> = const { Cell::new(0) };
+}
 
-/// Returns the process-wide count of real frame decodes performed so
-/// far. Only ever increases; tests compare deltas.
+/// Returns the count of real frame decodes the calling thread has
+/// performed so far. Only ever increases; tests compare deltas.
 pub fn frame_decode_count() -> u64 {
-    DECODE_COUNT.load(Ordering::Relaxed)
+    DECODE_COUNT.with(Cell::get)
+}
+
+/// Parses `bytes`, counting the decode against the calling thread.
+fn counted_decode(bytes: &[u8]) -> Result<(OfMessage, Xid), CodecError> {
+    DECODE_COUNT.with(|n| n.set(n.get() + 1));
+    OfMessage::decode(bytes)
 }
 
 #[derive(Debug)]
@@ -105,10 +114,7 @@ impl Frame {
     pub fn decoded(&self) -> Option<&(OfMessage, Xid)> {
         self.inner
             .decoded
-            .get_or_init(|| {
-                DECODE_COUNT.fetch_add(1, Ordering::Relaxed);
-                OfMessage::decode(&self.inner.bytes)
-            })
+            .get_or_init(|| counted_decode(&self.inner.bytes))
             .as_ref()
             .ok()
     }
@@ -122,10 +128,7 @@ impl Frame {
     pub fn decode_error(&self) -> Option<&CodecError> {
         self.inner
             .decoded
-            .get_or_init(|| {
-                DECODE_COUNT.fetch_add(1, Ordering::Relaxed);
-                OfMessage::decode(&self.inner.bytes)
-            })
+            .get_or_init(|| counted_decode(&self.inner.bytes))
             .as_ref()
             .err()
     }
@@ -236,6 +239,15 @@ mod tests {
         assert!(g.decoded().is_some());
         assert_eq!(g.of_type(), Some(crate::header::OfType::EchoRequest));
         assert_eq!(frame_decode_count() - before, 1);
+    }
+
+    #[test]
+    fn decode_count_is_per_thread() {
+        let before = frame_decode_count();
+        std::thread::spawn(|| assert!(echo_frame().decoded().is_some()))
+            .join()
+            .expect("decoding thread");
+        assert_eq!(frame_decode_count(), before);
     }
 
     #[test]

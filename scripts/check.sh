@@ -16,6 +16,14 @@ cargo build --release --workspace
 echo "== cargo test"
 cargo test --workspace -q
 
+echo "== bench smoke (each point runs once; no BENCH_*.json may change)"
+bench_sums=$(cksum BENCH_*.json)
+cargo test -q -p attain-bench --benches
+if [ "$(cksum BENCH_*.json)" != "$bench_sums" ]; then
+  echo "cargo test --benches rewrote a checked-in BENCH_*.json" >&2
+  exit 1
+fi
+
 echo "== environment-fault suite (incl. trace determinism)"
 cargo test -q -p attain-netsim --test faults
 cargo test -q -p attain-netsim --test faults same_seed_same_trace_different_seed_may_differ
@@ -42,10 +50,9 @@ cargo test -q -p attain --test dsl_roundtrip
 echo "== determinism suite (scale scenarios reproduce their golden fingerprints)"
 cargo test -q -p attain-netsim --test scale_determinism
 
-echo "== scalability smoke (fat-tree k=4, capped event budget)"
-cargo run --release --bin scalability \
+echo "== scalability smoke (fat-tree k=4, capped event budget; exits non-zero unless every row reaches its horizon)"
+cargo run --release -p attain-bench --bin scalability \
   -- --smoke --max-events 2000000 --json target/BENCH_scalability_smoke.json
-grep -q '"halt": "Horizon"' target/BENCH_scalability_smoke.json
 
 echo "== supervised execution (chaos cells contained, degraded-mode report)"
 cargo test -q -p attain-campaign --features test_faults
