@@ -18,7 +18,7 @@
 //! root.
 
 use attain_bench::BenchReport;
-use attain_controllers::Ryu;
+use attain_controllers::ControllerKind;
 use attain_netsim::{EvictionPolicy, FlowTable, HostCommand, NetworkBuilder, SimTime, Simulation};
 use attain_openflow::{Action, FlowKey, FlowMod, MacAddr, Match, PortNo};
 use std::hint::black_box;
@@ -74,7 +74,7 @@ fn probe_estimate(capacity: usize, policy: EvictionPolicy) -> Option<usize> {
         b.set_table(s1, capacity, policy);
         b.link(h1, s1);
         b.link(h2, s1);
-        let c1 = b.controller("c1", Box::new(Ryu::new()));
+        let c1 = b.controller("c1", ControllerKind::Ryu.instantiate());
         b.control(c1, s1);
         b.build()
     };

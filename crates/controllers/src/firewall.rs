@@ -1,6 +1,6 @@
 //! The DMZ firewall policy module for the case-study switch `s2`.
 
-use crate::learning::MatchStyle;
+use crate::profile::Hairpin;
 use crate::traits::{Controller, ControllerKind, Outbox};
 use attain_openflow::packet::{self, EtherType};
 use attain_openflow::{
@@ -72,7 +72,7 @@ impl DmzPolicy {
 ///
 /// On a denied packet, the firewall installs a **deny flow mod** (empty
 /// action list) whose match is built in the inner controller's
-/// [`MatchStyle`] — exactly the message the connection-interruption
+/// [`MatchStyle`](crate::MatchStyle) — exactly the message the connection-interruption
 /// attack's rule `φ2` waits for. Allowed packets are handed to the inner
 /// learning switch untouched.
 pub struct DmzFirewall {
@@ -87,21 +87,6 @@ impl std::fmt::Debug for DmzFirewall {
             .field("inner", &self.inner.kind())
             .field("policy", &self.policy)
             .finish()
-    }
-}
-
-impl MatchStyle {
-    /// The match style a given controller implementation uses when its
-    /// applications construct flow mods.
-    pub fn for_kind(kind: ControllerKind) -> MatchStyle {
-        match kind {
-            ControllerKind::Floodlight => MatchStyle::L3Aware,
-            ControllerKind::Pox | ControllerKind::Beacon => MatchStyle::FullExact,
-            // The hub never builds flow mods of its own; if a policy
-            // module on top of it must, an L2 match is all the state a
-            // hub-style application keeps.
-            ControllerKind::Ryu | ControllerKind::Hub => MatchStyle::L2Only,
-        }
     }
 }
 
@@ -133,12 +118,12 @@ impl Controller for DmzFirewall {
     fn on_packet_in(&mut self, dpid: DatapathId, pi: &PacketIn, out: &mut Outbox) {
         let key = packet::flow_key(&pi.data, pi.in_port);
         if self.policy.decide(dpid, &key) == Verdict::Deny {
-            let style = MatchStyle::for_kind(self.inner.kind());
+            let profile = self.inner.kind().profile();
             // The deny entry outranks any learning-switch entry.
             out.send(
                 dpid,
                 OfMessage::FlowMod(FlowMod {
-                    r#match: style.build(&key),
+                    r#match: profile.match_style.build(&key),
                     cookie: 0xf14e_0000, // firewall app cookie
                     command: FlowModCommand::Add,
                     idle_timeout: self.deny_idle_timeout,
@@ -153,8 +138,9 @@ impl Controller for DmzFirewall {
             if pi.buffer_id.is_none() {
                 // Nothing buffered; nothing further to do. For buffered
                 // packets the (empty-action) flow mod releases the buffer.
-            } else if self.inner.kind() != ControllerKind::Pox {
-                // Floodlight's and Ryu's firewall apps free the buffer
+            } else if profile.flows.map(|f| f.hairpin) != Some(Hairpin::DropFlow) {
+                // Only POX drops a packet with a flow mod carrying its
+                // buffer; the other firewall apps free the buffer
                 // explicitly rather than relying on the flow mod.
                 out.send(
                     dpid,
@@ -191,7 +177,6 @@ impl Controller for DmzFirewall {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Floodlight, Pox, Ryu};
     use attain_openflow::{MacAddr, PacketInReason};
 
     fn policy() -> DmzPolicy {
@@ -254,7 +239,7 @@ mod tests {
 
     #[test]
     fn floodlight_deny_flow_mod_names_nw_src() {
-        let mut fw = DmzFirewall::new(Box::new(Floodlight::new()), policy());
+        let mut fw = DmzFirewall::new(ControllerKind::Floodlight.instantiate(), policy());
         let mut out = Outbox::new();
         fw.on_packet_in(
             DatapathId(2),
@@ -277,7 +262,7 @@ mod tests {
 
     #[test]
     fn pox_deny_flow_mod_names_nw_src_and_carries_buffer() {
-        let mut fw = DmzFirewall::new(Box::new(Pox::new()), policy());
+        let mut fw = DmzFirewall::new(ControllerKind::Pox.instantiate(), policy());
         let mut out = Outbox::new();
         fw.on_packet_in(
             DatapathId(2),
@@ -295,7 +280,7 @@ mod tests {
 
     #[test]
     fn ryu_deny_flow_mod_wildcards_nw_src() {
-        let mut fw = DmzFirewall::new(Box::new(Ryu::new()), policy());
+        let mut fw = DmzFirewall::new(ControllerKind::Ryu.instantiate(), policy());
         let mut out = Outbox::new();
         fw.on_packet_in(
             DatapathId(2),
@@ -315,7 +300,7 @@ mod tests {
 
     #[test]
     fn allowed_traffic_reaches_the_inner_learning_switch() {
-        let mut fw = DmzFirewall::new(Box::new(Floodlight::new()), policy());
+        let mut fw = DmzFirewall::new(ControllerKind::Floodlight.instantiate(), policy());
         let mut out = Outbox::new();
         fw.on_packet_in(
             DatapathId(2),
@@ -330,7 +315,7 @@ mod tests {
 
     #[test]
     fn internal_to_external_is_never_firewalled() {
-        let mut fw = DmzFirewall::new(Box::new(Floodlight::new()), policy());
+        let mut fw = DmzFirewall::new(ControllerKind::Floodlight.instantiate(), policy());
         let mut out = Outbox::new();
         // Arrives on the internal port 2.
         fw.on_packet_in(

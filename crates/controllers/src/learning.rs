@@ -1,9 +1,148 @@
-//! Shared L2-learning machinery and the per-controller match styles.
+//! The one learning switch every controller model runs, its MAC table
+//! and its flow-match styles.
 
-use attain_openflow::{DatapathId, FlowKey, MacAddr, Match, PortNo, Wildcards};
+use crate::profile::{FlowPolicy, Hairpin, Profile};
+use crate::traits::{Controller, ControllerKind, Outbox};
+use attain_openflow::{
+    packet, Action, BufferId, DatapathId, FlowKey, FlowMod, FlowModCommand, FlowModFlags, MacAddr,
+    Match, OfMessage, PacketIn, PacketOut, PortNo, SwitchFeatures, Wildcards,
+};
 use std::collections::HashMap;
 
-/// The MAC learning table shared by all three controller models: one
+/// The learning switch behind every [`ControllerKind`]: learn the source
+/// MAC, flood unknown and broadcast destinations, install a flow toward a
+/// known one. Everything that differs between controllers is read from
+/// the kind's [`Profile`] row.
+#[derive(Debug)]
+pub struct LearningSwitch {
+    profile: &'static Profile,
+    table: L2Table,
+}
+
+impl LearningSwitch {
+    /// A fresh application of `kind` with an empty MAC table.
+    pub fn new(kind: ControllerKind) -> LearningSwitch {
+        LearningSwitch {
+            profile: kind.profile(),
+            table: L2Table::new(),
+        }
+    }
+}
+
+/// A `PACKET_OUT` for `pi` with `actions`: it names the buffer, or
+/// resends the raw data when nothing was buffered.
+fn packet_out(pi: &PacketIn, actions: Vec<Action>) -> OfMessage {
+    OfMessage::PacketOut(PacketOut {
+        buffer_id: pi.buffer_id,
+        in_port: pi.in_port,
+        actions,
+        data: if pi.buffer_id.is_none() {
+            pi.data.clone()
+        } else {
+            vec![]
+        },
+    })
+}
+
+fn output(port: PortNo) -> Vec<Action> {
+    vec![Action::Output { port, max_len: 0 }]
+}
+
+impl Controller for LearningSwitch {
+    fn kind(&self) -> ControllerKind {
+        self.profile.kind
+    }
+
+    fn on_switch_connect(
+        &mut self,
+        _dpid: DatapathId,
+        _features: &SwitchFeatures,
+        _out: &mut Outbox,
+    ) {
+    }
+
+    fn on_packet_in(&mut self, dpid: DatapathId, pi: &PacketIn, out: &mut Outbox) {
+        let Some(flows) = self.profile.flows else {
+            out.send(dpid, packet_out(pi, output(PortNo::FLOOD)));
+            return;
+        };
+        let key = packet::flow_key(&pi.data, pi.in_port);
+        self.table.learn(dpid, key.dl_src, pi.in_port);
+        let dst_port = if key.dl_dst.is_multicast() {
+            None
+        } else {
+            self.table.lookup(dpid, key.dl_dst)
+        };
+        let forward_to = match dst_port {
+            Some(port) if port != pi.in_port => Some(port),
+            Some(port) => match flows.hairpin {
+                Hairpin::Forward => Some(port),
+                Hairpin::Flood => None,
+                Hairpin::Release => {
+                    out.send(dpid, packet_out(pi, vec![]));
+                    return;
+                }
+                Hairpin::DropFlow => {
+                    let drop = flow_mod(self.profile, &flows, &key, pi.buffer_id, vec![]);
+                    out.send(dpid, drop);
+                    return;
+                }
+            },
+            None => None,
+        };
+        let Some(port) = forward_to else {
+            out.send(dpid, packet_out(pi, output(PortNo::FLOOD)));
+            return;
+        };
+        let buffer_id = pi.buffer_id.filter(|_| flows.buffer_on_flow_mod);
+        out.send(
+            dpid,
+            flow_mod(self.profile, &flows, &key, buffer_id, output(port)),
+        );
+        if buffer_id.is_none() {
+            // Nothing rode on the flow mod: release the buffer, or resend
+            // the raw packet, separately.
+            out.send(dpid, packet_out(pi, output(port)));
+        }
+    }
+
+    fn on_switch_disconnect(&mut self, dpid: DatapathId) {
+        self.table.forget_switch(dpid);
+    }
+
+    fn reset(&mut self) {
+        self.table.clear();
+    }
+
+    fn processing_delay_us(&self) -> u64 {
+        self.profile.processing_delay_us
+    }
+}
+
+/// A flow mod for `key` with `profile`'s match style and `flows`' cookie,
+/// timeouts and priority.
+fn flow_mod(
+    profile: &Profile,
+    flows: &FlowPolicy,
+    key: &FlowKey,
+    buffer_id: BufferId,
+    actions: Vec<Action>,
+) -> OfMessage {
+    OfMessage::FlowMod(FlowMod {
+        r#match: profile.match_style.build(key),
+        cookie: flows.cookie,
+        command: FlowModCommand::Add,
+        idle_timeout: flows.idle_timeout,
+        hard_timeout: flows.hard_timeout,
+        priority: flows.priority,
+        buffer_id,
+        out_port: PortNo::NONE,
+        flags: FlowModFlags::default(),
+        actions,
+    })
+}
+
+/// The MAC learning table of the learning switch: one
 /// `(switch, MAC) → port` map, exactly what `l2_learning`/`simple_switch`
 /// keep per datapath.
 #[derive(Debug, Clone, Default)]

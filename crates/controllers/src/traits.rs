@@ -7,9 +7,10 @@ use std::fmt;
 ///
 /// Used by experiment harnesses to iterate over the paper's three
 /// controllers and label results. The campaign harness additionally
-/// sweeps two non-paper applications ([`Beacon`](crate::Beacon) and
-/// [`Hub`](crate::Hub)) that widen the behavioural space attacks are
-/// regressed against.
+/// sweeps two non-paper applications (Beacon and the hub) that widen the
+/// behavioural space attacks are regressed against. What each kind does
+/// is its row of the profile table, [`ControllerKind::profile`].
+/// Declaration order is the table's row order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ControllerKind {
     /// Floodlight v1.2, `Forwarding` module.
@@ -58,48 +59,6 @@ impl ControllerKind {
     /// Parses a [`slug`](ControllerKind::slug) back to a kind.
     pub fn from_slug(s: &str) -> Option<ControllerKind> {
         ControllerKind::CAMPAIGN.into_iter().find(|k| k.slug() == s)
-    }
-
-    // ---- behavioural predicates -------------------------------------
-    //
-    // The campaign's expectation table is derived from these rather than
-    // hard-coded per cell: each predicate names the implementation
-    // detail that makes an attack manifest (or stay silent) against a
-    // given controller, mirroring the paper's §VII analysis.
-
-    /// Whether the application installs flow entries at all. The hub
-    /// forwards every packet by `PACKET_OUT`, so attacks that target
-    /// `FLOW_MOD`s have nothing to bite on.
-    pub fn installs_flows(&self) -> bool {
-        !matches!(self, ControllerKind::Hub)
-    }
-
-    /// Whether buffered packets are released only by the `FLOW_MOD`
-    /// itself (`buffer_id` attached). Suppressing flow mods then
-    /// deadlocks the data plane — the paper's POX asterisk in Figure 11.
-    pub fn releases_buffer_via_flow_mod(&self) -> bool {
-        matches!(self, ControllerKind::Pox | ControllerKind::Beacon)
-    }
-
-    /// Whether the flow mods this application (and the DMZ firewall
-    /// module running on it) construct expose a concrete `nw_src` — the
-    /// field the connection-interruption attack's rule `φ2` reads.
-    /// Ryu's L2-only matches wildcard it, which is why the paper's §VII-C
-    /// attack never fires against Ryu; the hub sends no flow mods at all.
-    pub fn flow_mod_exposes_nw_src(&self) -> bool {
-        matches!(
-            self,
-            ControllerKind::Floodlight | ControllerKind::Pox | ControllerKind::Beacon
-        )
-    }
-
-    /// Whether installed flows are permanent (no idle/hard timeout).
-    /// Ryu's timeout-free entries mean a suppression that arms *after*
-    /// the first installs never gets another `FLOW_MOD` to matter for
-    /// the steady workload — and timeout-guarded attacks (matching
-    /// `idle_timeout > 0`) never trigger at all.
-    pub fn installs_permanent_flows(&self) -> bool {
-        matches!(self, ControllerKind::Ryu)
     }
 }
 

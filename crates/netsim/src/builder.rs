@@ -498,7 +498,7 @@ impl NetworkBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use attain_controllers::Floodlight;
+    use attain_controllers::ControllerKind;
 
     #[test]
     fn builds_a_minimal_network() {
@@ -508,7 +508,7 @@ mod tests {
         let s1 = b.switch("s1");
         b.link(h1, s1);
         b.link(h2, s1);
-        let c1 = b.controller("c1", Box::new(Floodlight::new()));
+        let c1 = b.controller("c1", ControllerKind::Floodlight.instantiate());
         b.control(c1, s1);
         let sim = b.build();
         assert_eq!(sim.host("h1").ip(), "10.0.0.1".parse::<Ipv4Addr>().unwrap());
@@ -526,7 +526,7 @@ mod tests {
         let s1 = b.switch("s1");
         b.link(h1, s1);
         b.set_table(s1, 8, EvictionPolicy::EvictLru);
-        let c1 = b.controller("c1", Box::new(Floodlight::new()));
+        let c1 = b.controller("c1", ControllerKind::Floodlight.instantiate());
         b.control(c1, s1);
         let sim = b.build();
         assert_eq!(sim.switch("s1").flow_table().capacity(), 8);
@@ -627,7 +627,7 @@ mod tests {
         // Control connection on a host.
         let mut b = NetworkBuilder::new();
         let h1 = b.host("h1", "10.0.0.1");
-        let c1 = b.controller("c1", Box::new(Floodlight::new()));
+        let c1 = b.controller("c1", ControllerKind::Floodlight.instantiate());
         b.control(c1, h1);
         assert_eq!(
             b.try_build().err(),

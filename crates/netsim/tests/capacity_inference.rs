@@ -7,7 +7,7 @@
 //! spoofed source costs exactly two entries (request + reply
 //! direction). The probe's estimate is exact for even capacities.
 
-use attain_controllers::Ryu;
+use attain_controllers::ControllerKind;
 use attain_netsim::{
     EvictionPolicy, HostCommand, NetworkBuilder, SimTime, Simulation, TraceDigest,
 };
@@ -21,7 +21,7 @@ fn probe_network(capacity: usize, policy: EvictionPolicy) -> Simulation {
     b.set_table(s1, capacity, policy);
     b.link(h1, s1);
     b.link(h2, s1);
-    let c1 = b.controller("c1", Box::new(Ryu::new()));
+    let c1 = b.controller("c1", ControllerKind::Ryu.instantiate());
     b.control(c1, s1);
     b.build()
 }
@@ -111,7 +111,7 @@ fn unbounded_table_reports_fill_exhausted() {
         let s1 = b.switch("s1");
         b.link(h1, s1);
         b.link(h2, s1);
-        let c1 = b.controller("c1", Box::new(Ryu::new()));
+        let c1 = b.controller("c1", ControllerKind::Ryu.instantiate());
         b.control(c1, s1);
         b.build()
     };
@@ -151,7 +151,7 @@ fn post_build_table_config_matches_builder_config() {
         let s1 = b.switch("s1");
         b.link(h1, s1);
         b.link(h2, s1);
-        let c1 = b.controller("c1", Box::new(Ryu::new()));
+        let c1 = b.controller("c1", ControllerKind::Ryu.instantiate());
         b.control(c1, s1);
         b.build()
     };

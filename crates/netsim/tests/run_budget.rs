@@ -1,7 +1,7 @@
 //! Run-budget semantics: deterministic halts, livelock detection, and
 //! cooperative cancellation.
 
-use attain_controllers::Floodlight;
+use attain_controllers::ControllerKind;
 use attain_netsim::{
     CancelToken, HaltReason, HostCommand, Interposer, InterposerActions, NetworkBuilder,
     ProxiedMessage, RunBudget, SimTime, TraceKind,
@@ -14,7 +14,7 @@ fn build(budget: RunBudget) -> attain_netsim::Simulation {
     let s1 = b.switch("s1");
     b.link(h1, s1);
     b.link(h2, s1);
-    let c1 = b.controller("c1", Box::new(Floodlight::new()));
+    let c1 = b.controller("c1", ControllerKind::Floodlight.instantiate());
     b.control(c1, s1);
     b.run_budget(budget);
     let mut sim = b.build();

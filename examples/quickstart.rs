@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use attain::controllers::Floodlight;
+use attain::controllers::ControllerKind;
 use attain::core::dsl;
 use attain::core::exec::AttackExecutor;
 use attain::core::model::{AttackModel, CapabilitySet, SystemModel};
@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let s1 = b.switch("s1");
     b.link(h1, s1);
     b.link(h2, s1);
-    let c1 = b.controller("c1", Box::new(Floodlight::new()));
+    let c1 = b.controller("c1", ControllerKind::Floodlight.instantiate());
     b.control(c1, s1);
     let mut sim = b.build();
 

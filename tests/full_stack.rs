@@ -2,7 +2,7 @@
 //! self-contained DSL document to a running attacked network, through
 //! the facade crate's public API.
 
-use attain::controllers::{ControllerKind, Floodlight, Pox};
+use attain::controllers::ControllerKind;
 use attain::core::dsl;
 use attain::core::exec::AttackExecutor;
 use attain::core::scenario;
@@ -60,7 +60,7 @@ fn self_contained_document_drives_a_simulation() {
     assert_eq!(compiled.graph.vertices, vec!["count_up", "blackhole"]);
 
     let mut sim = build_simulation(&doc.system, FailMode::Secure, |_| {
-        Box::new(Floodlight::new())
+        ControllerKind::Floodlight.instantiate()
     });
     let exec = AttackExecutor::new(
         doc.system.clone(),
@@ -170,7 +170,9 @@ fn full_stack_is_deterministic() {
     let run = || {
         let doc = dsl::compile_document(DOCUMENT).expect("document compiles");
         let compiled = &doc.attacks[0];
-        let mut sim = build_simulation(&doc.system, FailMode::Safe, |_| Box::new(Pox::new()));
+        let mut sim = build_simulation(&doc.system, FailMode::Safe, |_| {
+            ControllerKind::Pox.instantiate()
+        });
         let exec = AttackExecutor::new(
             doc.system.clone(),
             doc.attack_model.clone(),
