@@ -119,6 +119,11 @@ impl Controller for DmzFirewall {
         let key = packet::flow_key(&pi.data, pi.in_port);
         if self.policy.decide(dpid, &key) == Verdict::Deny {
             let profile = self.inner.kind().profile();
+            // Only POX drops a packet with a flow mod carrying its
+            // buffer; the other firewall apps free the buffer explicitly
+            // with an empty PACKET_OUT. Either way the buffer is released
+            // exactly once.
+            let buffer_on_flow_mod = profile.flows.map(|f| f.hairpin) == Some(Hairpin::DropFlow);
             // The deny entry outranks any learning-switch entry.
             out.send(
                 dpid,
@@ -129,19 +134,13 @@ impl Controller for DmzFirewall {
                     idle_timeout: self.deny_idle_timeout,
                     hard_timeout: 0,
                     priority: 0xf000,
-                    buffer_id: pi.buffer_id,
+                    buffer_id: pi.buffer_id.filter(|_| buffer_on_flow_mod),
                     out_port: PortNo::NONE,
                     flags: FlowModFlags::default(),
                     actions: vec![], // drop
                 }),
             );
-            if pi.buffer_id.is_none() {
-                // Nothing buffered; nothing further to do. For buffered
-                // packets the (empty-action) flow mod releases the buffer.
-            } else if profile.flows.map(|f| f.hairpin) != Some(Hairpin::DropFlow) {
-                // Only POX drops a packet with a flow mod carrying its
-                // buffer; the other firewall apps free the buffer
-                // explicitly rather than relying on the flow mod.
+            if pi.buffer_id.is_some() && !buffer_on_flow_mod {
                 out.send(
                     dpid,
                     OfMessage::PacketOut(PacketOut {
@@ -256,8 +255,10 @@ mod tests {
             Some("10.0.0.2".parse().unwrap()),
             "φ2 must be able to read nw_src from a Floodlight deny rule"
         );
-        // Buffer freed by an explicit empty packet out.
-        assert!(matches!(&msgs[1].1, OfMessage::PacketOut(po) if po.actions.is_empty()));
+        // Buffer freed once, by an explicit empty packet out.
+        assert_eq!(fm.buffer_id, None);
+        assert!(matches!(&msgs[1].1,
+            OfMessage::PacketOut(po) if po.actions.is_empty() && po.buffer_id == Some(3)));
     }
 
     #[test]

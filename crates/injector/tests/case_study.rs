@@ -2,8 +2,11 @@
 //! fidelity, checking the qualitative shapes the paper reports.
 
 use attain_controllers::ControllerKind;
-use attain_injector::harness::{run_connection_interruption, run_flow_mod_suppression, Fidelity};
-use attain_netsim::FailMode;
+use attain_injector::harness::{
+    build_case_study, run_connection_interruption, run_flow_mod_suppression, Fidelity,
+};
+use attain_netsim::{Direction, FailMode, HostCommand, SimTime};
+use attain_openflow::OfType;
 
 #[test]
 fn baselines_are_healthy_for_all_controllers() {
@@ -135,5 +138,32 @@ fn interruption_never_engages_against_ryu() {
         assert!(!out.unauthorized_access(), "{}", out.ext_to_int);
         // …and nothing is denied.
         assert!(!out.legitimate_dos(), "{}", out.int_to_ext_after);
+    }
+}
+
+#[test]
+fn firewall_denials_release_each_buffer_once() {
+    // h2 (outside, behind the gateway) pings the internal h3: every echo
+    // is denied at s2. The deny path must release the switch's buffer
+    // exactly once, so the switch never answers with BUFFER_UNKNOWN.
+    for kind in ControllerKind::CAMPAIGN {
+        let mut sim = build_case_study(kind, FailMode::Secure);
+        let h2 = sim.node_id("h2").expect("h2 exists");
+        sim.schedule_command(
+            SimTime::from_secs(5),
+            HostCommand::Ping {
+                host: h2,
+                dst: "10.0.0.3".parse().expect("valid"),
+                count: 10,
+                interval: SimTime::from_secs(1),
+                label: "denied".into(),
+            },
+        );
+        sim.run_until(SimTime::from_secs(20));
+        assert_eq!(sim.ping_stats()[0].received(), 0, "{kind}: policy breached");
+        let errors = sim
+            .trace()
+            .control_message_count(OfType::Error, Direction::SwitchToController);
+        assert_eq!(errors, 0, "{kind}: switch reported {errors} ERRORs");
     }
 }
