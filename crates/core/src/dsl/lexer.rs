@@ -152,9 +152,12 @@ pub fn lex(source: &str) -> Result<Vec<Token>, DslError> {
     let mut out = Vec::new();
     let mut line: u32 = 1;
     let bytes = source.as_bytes();
+    // `i` only ever stops on a char boundary: it steps over ASCII bytes
+    // one at a time and over string-literal chars by their UTF-8 length.
+    let char_at = |i: usize| source[i..].chars().next().expect("i < source.len()");
     let mut i = 0;
     while i < bytes.len() {
-        let c = bytes[i] as char;
+        let c = char_at(i);
         match c {
             '\n' => {
                 line += 1;
@@ -331,7 +334,7 @@ pub fn lex(source: &str) -> Result<Vec<Token>, DslError> {
                     if i >= bytes.len() {
                         return Err(DslError::new(line, "unterminated string literal"));
                     }
-                    match bytes[i] as char {
+                    match char_at(i) {
                         '"' => {
                             i += 1;
                             break;
@@ -341,7 +344,7 @@ pub fn lex(source: &str) -> Result<Vec<Token>, DslError> {
                             if i >= bytes.len() {
                                 return Err(DslError::new(line, "unterminated escape"));
                             }
-                            s.push(match bytes[i] as char {
+                            s.push(match char_at(i) {
                                 'n' => '\n',
                                 't' => '\t',
                                 '"' => '"',
@@ -358,7 +361,7 @@ pub fn lex(source: &str) -> Result<Vec<Token>, DslError> {
                         '\n' => return Err(DslError::new(line, "newline in string literal")),
                         c => {
                             s.push(c);
-                            i += 1;
+                            i += c.len_utf8();
                         }
                     }
                 }
@@ -510,6 +513,13 @@ mod tests {
             ]
         );
         assert!(lex("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn non_ascii_text_decodes_as_utf8() {
+        assert_eq!(toks("\"é φ1\""), vec![Tok::Str("é φ1".into()), Tok::Eof]);
+        let err = lex("a λ").unwrap_err();
+        assert!(err.message.contains("'λ'"), "{}", err.message);
     }
 
     #[test]

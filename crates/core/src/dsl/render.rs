@@ -330,6 +330,30 @@ mod tests {
     }
 
     #[test]
+    fn non_ascii_string_literals_roundtrip_through_render() {
+        let sc = scenario::enterprise_network();
+        let source = r#"
+            attack utf8 {
+                start state s {
+                    rule note on (c1, s1) {
+                        when msg.type == FLOW_MOD
+                        do { syscmd(h1, "echo é φ1 — ✓"); }
+                    }
+                }
+            }
+        "#;
+        let original = dsl::compile(source, &sc.system, &sc.attack_model)
+            .expect("compiles")
+            .attack;
+        let rendered = render(&original, &sc.system).expect("renders");
+        assert!(rendered.contains("\"echo é φ1 — ✓\""), "{rendered}");
+        let reparsed = dsl::compile(&rendered, &sc.system, &sc.attack_model)
+            .unwrap_or_else(|e| panic!("{e}\n{rendered}"))
+            .attack;
+        assert_eq!(reparsed, original, "{rendered}");
+    }
+
+    #[test]
     fn captured_message_literals_are_rejected() {
         use crate::lang::{AttackState, Expr, Rule, StoredMessage, Value};
         use crate::model::{CapabilitySet, ConnectionId};
