@@ -504,5 +504,12 @@ mod tests {
         let (nd, nc) = m.memory_complexity_bounds();
         assert_eq!(nd, (2 + 3) * (2 + 3));
         assert_eq!(nc, 2);
+
+        // The §VII case study (Fig. 8/9), 4 switches, 6 hosts and one
+        // controller: worst case vs. what it uses.
+        let m = crate::scenario::enterprise_network().system;
+        assert_eq!(m.memory_complexity_bounds(), (100, 4));
+        assert_eq!(m.data_plane().len(), 9);
+        assert_eq!(m.connection_count(), 4);
     }
 }
