@@ -13,6 +13,9 @@ cargo clippy --workspace --all-targets -- -D warnings -W clippy::redundant_clone
 echo "== cargo build --release"
 cargo build --release --workspace
 
+echo "== perfbench builds against the public API (its own workspace)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== cargo test"
 cargo test --workspace -q
 
