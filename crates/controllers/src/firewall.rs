@@ -72,9 +72,9 @@ impl DmzPolicy {
 ///
 /// On a denied packet, the firewall installs a **deny flow mod** (empty
 /// action list) whose match is built in the inner controller's
-/// [`MatchStyle`](crate::MatchStyle) — exactly the message the connection-interruption
-/// attack's rule `φ2` waits for. Allowed packets are handed to the inner
-/// learning switch untouched.
+/// [`MatchStyle`](crate::MatchStyle) — exactly the message the
+/// connection-interruption attack's rule `φ2` waits for. Allowed packets
+/// are handed to the inner learning switch untouched.
 pub struct DmzFirewall {
     inner: Box<dyn Controller>,
     policy: DmzPolicy,
